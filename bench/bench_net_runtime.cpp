@@ -2,9 +2,10 @@
 // Fig. 1 relays agree with the analytic model, scale across worker
 // threads, and stay deterministic while doing so.
 //
-// This validates the substitution DESIGN.md makes everywhere else
-// (counting messages analytically instead of executing them): where
-// both paths exist, they agree.
+// This validates the substitution made everywhere else (counting
+// messages analytically instead of executing them; see
+// docs/DEVIATIONS.md#analytic-messages): where both paths exist, they
+// agree.
 #include <chrono>
 
 #include "bench_common.hpp"

@@ -2,29 +2,28 @@
 // (BENCH_routing.json).
 //
 // Measures every overlay's single-route and batched route evaluation
-// along the routing engine's dispatch seam:
+// against the epoch-resident RoutingIndex:
 //
-//   route_<overlay>_n<N>                indexed path (epoch-resident
-//                                       RoutingIndex; the default)
-//   route_<overlay>_n<N>_seed_baseline  legacy path (per-hop binary
-//                                       searches; kept selectable via
-//                                       set_routing_index_enabled)
-//   route_many_<overlay>_n<N>           batch evaluation (route_many:
-//                                       seam + index resolved once)
-//   speedup_route_<overlay>             indexed-vs-legacy ratio at the
-//                                       largest measured n — the rows
-//                                       CI's regression guard watches
+//   route_<overlay>_n<N>       ns per route into warm caller scratch
+//   route_many_<overlay>_n<N>  ns per route through route_many (index
+//                              resolved once per batch)
+//   GUARD PAIR — routing_grid_lookup_n<N> vs its _seed_baseline:
+//     ops_per_sec carries DETERMINISTIC lookups per compared point —
+//     through the index's successor grid vs a binary search over the
+//     same table — so CI's normalized regression guard watches what
+//     the grid bought, machine-free.
 //
-// Before ANY number is reported for an overlay, the two paths are
-// asserted hop-identical over a probe sweep — the index is an
-// acceleration structure, not a new algorithm, and a divergence aborts
-// the bench.  Steady-state indexed routing into warm caller-owned
-// scratch is additionally asserted to perform ZERO heap allocations,
-// via this binary's global operator new/delete counters (the same
-// steady-state discipline bench_net_roundloop pins on the payload
-// arena).
+// Before ANY number is reported for an overlay, a probe sweep's route
+// hash must equal its golden (produced when the per-hop binary-search
+// routes were retired, with both paths agreeing hop for hop) — a
+// mismatch aborts the bench.  Steady-state routing into warm
+// caller-owned scratch is additionally asserted to perform ZERO heap
+// allocations, via this binary's global operator new/delete counters
+// (the same steady-state discipline bench_net_roundloop pins on the
+// payload arena).
 //
 //   bench_routing [--fast] [--out DIR]
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -88,27 +87,99 @@ namespace {
 
 using namespace tg;
 
-constexpr std::size_t kProbeRoutes = 200;   // equivalence sweep per overlay
+constexpr std::size_t kProbeRoutes = 200;   // golden sweep per overlay
 constexpr std::size_t kQueryPool = 256;     // cycled by the timed loops
 
-/// Hop-for-hop equivalence sweep; throws on the first divergence.
-void assert_paths_identical(const overlay::InputGraph& graph,
-                            std::size_t n, std::uint64_t seed) {
+struct RouteGolden {
+  overlay::Kind kind;
+  std::size_t n;
+  std::uint64_t hash;
+};
+
+/// FNV-1a over (ok, hop count, hops) of the probe sweep per overlay and
+/// table size.  de Bruijn and distance halving share hashes: both walk
+/// the same halving sequence.
+constexpr RouteGolden kRouteGoldens[] = {
+    {overlay::Kind::chord, 1'000, 0x57e443cdad9d66a1ULL},
+    {overlay::Kind::chord, 10'000, 0xabb8c6fa776a693bULL},
+    {overlay::Kind::chord, 100'000, 0xbdd6f275fd247274ULL},
+    {overlay::Kind::debruijn, 1'000, 0x71741bbdb41b6923ULL},
+    {overlay::Kind::debruijn, 10'000, 0x58a374e208ca1368ULL},
+    {overlay::Kind::debruijn, 100'000, 0x647b0357616a77d7ULL},
+    {overlay::Kind::distance_halving, 1'000, 0x71741bbdb41b6923ULL},
+    {overlay::Kind::distance_halving, 10'000, 0x58a374e208ca1368ULL},
+    {overlay::Kind::distance_halving, 100'000, 0x647b0357616a77d7ULL},
+    {overlay::Kind::viceroy, 1'000, 0xe4e684a5cc81bc78ULL},
+    {overlay::Kind::viceroy, 10'000, 0xef4db150abd02ae1ULL},
+    {overlay::Kind::viceroy, 100'000, 0xd0c6e186e4caf8e5ULL},
+    {overlay::Kind::kautz, 1'000, 0x02cef461e827ead8ULL},
+    {overlay::Kind::kautz, 10'000, 0xfe8d7f63081590ebULL},
+    {overlay::Kind::kautz, 100'000, 0x165ea5819d643b1eULL},
+    {overlay::Kind::tapestry, 1'000, 0xfc0c37d03205170fULL},
+    {overlay::Kind::tapestry, 10'000, 0x748417ae90f4ce3eULL},
+    {overlay::Kind::tapestry, 100'000, 0x80c89e3802f91521ULL},
+    {overlay::Kind::chordpp, 1'000, 0x8df10f1787391d2dULL},
+    {overlay::Kind::chordpp, 10'000, 0xe7134fa282ff3db2ULL},
+    {overlay::Kind::chordpp, 100'000, 0xb923cb2cbd21be56ULL},
+};
+
+/// Route hash of the probe sweep; throws unless it equals the golden.
+void assert_routes_match_golden(const overlay::InputGraph& graph,
+                                overlay::Kind kind, std::size_t n,
+                                std::uint64_t seed) {
   Rng rng(seed);
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  };
   for (std::size_t i = 0; i < kProbeRoutes; ++i) {
     const std::size_t start = rng.below(n);
     const ids::RingPoint key{rng.u64()};
-    overlay::set_routing_index_enabled(false);
-    const overlay::Route legacy = graph.route(start, key);
-    overlay::set_routing_index_enabled(true);
-    const overlay::Route indexed = graph.route(start, key);
-    if (legacy.ok != indexed.ok || !(legacy.path == indexed.path)) {
-      throw std::logic_error(
-          std::string("indexed route diverged from legacy: ") +
-          std::string(graph.name()) + " n=" + std::to_string(n) +
-          " probe " + std::to_string(i));
+    const overlay::Route route = graph.route(start, key);
+    mix(route.ok ? 1 : 0);
+    mix(route.path.size());
+    for (const auto hop : route.path) mix(hop);
+  }
+  for (const RouteGolden& golden : kRouteGoldens) {
+    if (golden.kind == kind && golden.n == n) {
+      if (golden.hash == h) return;
+      break;
     }
   }
+  throw std::logic_error(std::string("routes diverged from their golden: ") +
+                         std::string(graph.name()) +
+                         " n=" + std::to_string(n));
+}
+
+/// The guard pair: points compared per successor lookup through the
+/// grid, and through a binary search (std::lower_bound, as
+/// RingTable::successor_index does) over the same table.
+void append_grid_guard(bench::JsonReporter& out, const ids::RingTable& table,
+                       std::size_t n) {
+  const overlay::RoutingIndex ix(table, 0);
+  Rng rng(0x6E1D + n);
+  std::uint64_t grid = 0;
+  std::uint64_t binary = 0;
+  constexpr std::size_t kLookups = 4096;
+  for (std::size_t i = 0; i < kLookups; ++i) {
+    const ids::RingPoint x{rng.u64()};
+    grid += ix.probe_count(x);
+    (void)std::lower_bound(table.points().begin(), table.points().end(), x,
+                           [&binary](ids::RingPoint a, ids::RingPoint b) {
+                             ++binary;
+                             return a < b;
+                           });
+  }
+  const double lookups = static_cast<double>(kLookups);
+  const std::string row = "routing_grid_lookup_n" + std::to_string(n);
+  out.add(row, {{"ops_per_sec", lookups / static_cast<double>(grid)},
+                {"points_per_lookup", static_cast<double>(grid) / lookups},
+                {"n", static_cast<double>(n)}});
+  out.add(row + "_seed_baseline",
+          {{"ops_per_sec", lookups / static_cast<double>(binary)},
+           {"points_per_lookup", static_cast<double>(binary) / lookups},
+           {"n", static_cast<double>(n)}});
 }
 
 std::vector<overlay::RouteQuery> make_queries(std::size_t n,
@@ -122,8 +193,8 @@ std::vector<overlay::RouteQuery> make_queries(std::size_t n,
   return queries;
 }
 
-/// ns per route over the query pool under the CURRENT dispatch seam,
-/// routing into one warm caller-owned scratch Route.
+/// ns per route over the query pool, routing into one warm
+/// caller-owned scratch Route.
 double measure_route_ns(const overlay::InputGraph& graph,
                         const std::vector<overlay::RouteQuery>& queries,
                         double min_seconds) {
@@ -139,8 +210,8 @@ double measure_route_ns(const overlay::InputGraph& graph,
       min_seconds);
 }
 
-/// ns per route through route_many (seam + index resolved once per
-/// batch), reusing one warm output vector.
+/// ns per route through route_many (index resolved once per batch),
+/// reusing one warm output vector.
 double measure_batch_ns(const overlay::InputGraph& graph,
                         const std::vector<overlay::RouteQuery>& queries,
                         double min_seconds) {
@@ -193,9 +264,9 @@ int main(int argc, char** argv) {
   }
 
   bench::banner(
-      "routing engine: epoch-resident index vs legacy per-hop searches",
-      "materialized finger rows + successor grid accelerate every overlay "
-      "with hop-identical routes and allocation-free steady state");
+      "routing engine: epoch-resident index (successor grid + finger rows)",
+      "materialized finger rows + successor grid route every overlay "
+      "with golden-pinned hops and allocation-free steady state");
 
   const std::vector<std::size_t> sizes =
       fast ? std::vector<std::size_t>{1'000, 10'000}
@@ -204,68 +275,45 @@ int main(int argc, char** argv) {
 
   bench::JsonReporter reporter("routing");
   reporter.set_meta("hash_kernel", crypto::Sha256::kernel_name());
-  Table t({"overlay", "n", "legacy ns/route", "indexed ns/route", "speedup",
-           "batch ns/route", "steady allocs"});
-  t.set_title("route evaluation, indexed vs legacy");
-
-  const bool saved_seam = overlay::routing_index_enabled();
-  // Per-overlay speedup at the LARGEST measured n (the guard rows).
-  std::vector<double> final_speedup(overlay::all_kinds().size(), 0.0);
+  Table t({"overlay", "n", "ns/route", "batch ns/route", "steady allocs"});
+  t.set_title("route evaluation through the routing index");
 
   for (const std::size_t n : sizes) {
     Rng rng(0xB07E5 + n);
     const auto table = ids::RingTable::uniform(n, rng);
-    std::size_t kind_index = 0;
     for (const overlay::Kind kind : overlay::all_kinds()) {
       const auto graph = overlay::make_overlay(kind, table);
       const std::string slug(overlay::kind_slug(kind));
 
-      assert_paths_identical(*graph, n, /*seed=*/0x51DE + n);
+      (void)graph->index();  // build outside every timed window
+      assert_routes_match_golden(*graph, kind, n, /*seed=*/0x51DE + n);
 
       const auto queries = make_queries(n, /*seed=*/0xC0FFEE + n);
-      overlay::set_routing_index_enabled(false);
-      const double legacy_ns = measure_route_ns(*graph, queries, min_seconds);
-      overlay::set_routing_index_enabled(true);
-      (void)graph->index();  // build outside the timed window
-      const double indexed_ns = measure_route_ns(*graph, queries, min_seconds);
+      const double route_ns = measure_route_ns(*graph, queries, min_seconds);
       const double batch_ns = measure_batch_ns(*graph, queries, min_seconds);
 
       const std::uint64_t steady = steady_state_allocations(*graph, queries);
       if (steady != 0) {
         throw std::logic_error(
-            "steady-state indexed routing touched the heap: " + slug +
+            "steady-state routing touched the heap: " + slug +
             " n=" + std::to_string(n) + " performed " +
             std::to_string(steady) + " allocations");
       }
 
-      const double speedup = legacy_ns / indexed_ns;
       const bench::JsonReporter::Fields shape{
           {"n", static_cast<double>(n)}};
-      const std::string row = "route_" + slug + "_n" + std::to_string(n);
-      reporter.add_ns_per_op(row, indexed_ns, shape);
-      reporter.add_ns_per_op(row + "_seed_baseline", legacy_ns, shape);
+      reporter.add_ns_per_op("route_" + slug + "_n" + std::to_string(n),
+                             route_ns, shape);
       reporter.add_ns_per_op("route_many_" + slug + "_n" + std::to_string(n),
                              batch_ns, shape);
-      if (n == sizes.back()) final_speedup[kind_index] = speedup;
-
-      t.add_row({slug, n, legacy_ns, indexed_ns, speedup, batch_ns, steady});
-      ++kind_index;
+      t.add_row({slug, n, route_ns, batch_ns, steady});
     }
+    append_grid_guard(reporter, table, n);
   }
 
-  std::size_t kind_index = 0;
-  for (const overlay::Kind kind : overlay::all_kinds()) {
-    reporter.add("speedup_route_" + std::string(overlay::kind_slug(kind)),
-                 {{"speedup", final_speedup[kind_index]},
-                  {"identical_route", 1.0},
-                  {"n", static_cast<double>(sizes.back())}});
-    ++kind_index;
-  }
-
-  overlay::set_routing_index_enabled(saved_seam);
   t.print(std::cout);
-  std::cout << "(hop-identical routes asserted over " << kProbeRoutes
-            << " probes per overlay x size before measurement; steady-state\n"
-               " indexed routing performed zero heap allocations.)\n";
+  std::cout << "(golden route hashes asserted over " << kProbeRoutes
+            << " probes per overlay x size before measurement;\n"
+               " steady-state routing performed zero heap allocations.)\n";
   return reporter.write(out_dir) ? 0 : 1;
 }

@@ -1,6 +1,6 @@
 // bench_workload — the workload engine's trajectory bench.
 //
-// Two kinds of rows in BENCH_workload.json:
+// Three kinds of rows in BENCH_workload.json:
 //
 //   * SERVICE BASELINES — {kv, lookup} x {open, closed} x {benign,
 //     omit_ids/tinygroups}: latency percentiles (rounds), throughput
@@ -11,12 +11,19 @@
 //     them against the committed baseline byte-for-byte if it ever
 //     wants to (today it schema-validates).
 //
-//   * ENGINE PERF PAIR — workload_engine_round vs its _seed_baseline:
-//     the same traffic driven with the runtime's pooled storage
-//     (buffer recycling + payload arena) vs the seed allocation path
-//     (fresh vectors, heap spill).  Delivered traffic is asserted
-//     byte-identical before any number is reported; the speedup row
-//     is what CI's hardware-normalized regression guard watches.
+//   * workload_engine_round: ns per engine round for benign kv
+//     open-loop traffic at a spill-sized payload (every request/reply
+//     spills into the network's payload arena).  Its trace must equal
+//     the golden for the run's shape — produced when the seed storage
+//     and per-hop routing paths were retired, with both agreeing —
+//     before any number is reported.
+//
+//   * GUARD PAIR — workload_arena_reuse vs its _seed_baseline:
+//     ops_per_sec carries DETERMINISTIC spilled payloads per heap
+//     allocation for a FIXED engine run (never scaled by --fast), vs 1
+//     for a heap spill, read from the run's telemetry counters — so
+//     CI's normalized regression guard watches what the arena bought,
+//     machine-free.
 //
 //   bench_workload [--fast] [--out DIR]
 #include <cstring>
@@ -109,13 +116,23 @@ void append_service_rows(bench::JsonReporter& out, const BenchConfig& config) {
   table.print(std::cout);
 }
 
-/// One engine run for the perf pair: benign kv open-loop traffic at a
-/// spill-sized payload, with the storage toggles AND the routing
-/// dispatch seam under test — the optimized side routes requests
-/// through the epoch-resident index, the seed side through the legacy
-/// per-hop binary searches (hop-identical, so traffic stays
-/// byte-identical either way).
-workload::RunResult perf_run(const BenchConfig& config, bool optimized) {
+/// The golden traces of perf_run at the two bench shapes.
+constexpr std::uint64_t kPerfGoldenFast = 0xa63e7972df3bbc75ULL;
+constexpr std::uint64_t kPerfGoldenFull = 0xf52c11fd7a06efc8ULL;
+
+/// The --fast shape: the guard pair always runs at it.
+BenchConfig fast_config() {
+  BenchConfig config;
+  config.n = 256;
+  config.trials = 2;
+  config.rounds = 96;
+  config.perf_rounds = 128;
+  return config;
+}
+
+/// One engine run: benign kv open-loop traffic at a spill-sized
+/// payload, requests routed through the epoch-resident index.
+workload::RunResult perf_run(const BenchConfig& config) {
   scenario::ScenarioSpec spec = cell_spec(
       config, scenario::WorkloadAxis::Service::kv,
       scenario::WorkloadAxis::Loop::open, /*with_adversary=*/false);
@@ -128,45 +145,55 @@ workload::RunResult perf_run(const BenchConfig& config, bool optimized) {
                               rng());
   workload::Spec engine = workload::engine_spec(spec, false);
   engine.padding_words = 8;  // every request/reply spills
-  engine.recycle_buffers = optimized;
-  engine.pool_payloads = optimized;
-  const bool saved_routing = overlay::routing_index_enabled();
-  overlay::set_routing_index_enabled(optimized);
-  workload::RunResult result = workload::run(service, engine, rng(),
-                                             /*threads=*/1);
-  overlay::set_routing_index_enabled(saved_routing);
-  return result;
+  return workload::run(service, engine, rng(), /*threads=*/1);
 }
 
-void append_perf_pair(bench::JsonReporter& out, const BenchConfig& config) {
-  (void)perf_run(config, true);  // warmup (first-touch, pool spin-up)
-  const workload::RunResult seed_path = perf_run(config, false);
-  const workload::RunResult pooled = perf_run(config, true);
-  if (seed_path.trace_hash != pooled.trace_hash ||
-      seed_path.recorder.completed != pooled.recorder.completed) {
-    // Storage strategy must be invisible in traffic; a divergence is a
-    // runtime-correctness bug, not a perf result.
+void append_perf_rows(bench::JsonReporter& out, const BenchConfig& config,
+                      bool fast) {
+  (void)perf_run(config);  // warmup (first-touch, pool spin-up)
+  const workload::RunResult run = perf_run(config);
+  if (run.trace_hash != (fast ? kPerfGoldenFast : kPerfGoldenFull)) {
     throw std::logic_error(
-        "workload engine: pooled storage diverged from the seed path");
+        "workload engine: perf run diverged from its golden trace");
   }
-  const auto ns_per_round = [](const workload::RunResult& r) {
-    return r.seconds * 1e9 / static_cast<double>(r.rounds_run);
-  };
+  const double ns_per_round =
+      run.seconds * 1e9 / static_cast<double>(run.rounds_run);
+  out.add_ns_per_op(
+      "workload_engine_round", ns_per_round,
+      {{"rounds", static_cast<double>(run.rounds_run)},
+       {"messages_per_round", static_cast<double>(run.net.delivered) /
+                                  static_cast<double>(run.rounds_run)}});
+  std::cout << "\nengine round loop: " << ns_per_round << " ns/round\n";
+
+  // Guard pair at the fixed shape, counted through a telemetry session.
+  telemetry::Session session;
+  telemetry::set_active(&session);
+  const workload::RunResult guard = perf_run(fast_config());
+  telemetry::set_active(nullptr);
+  if (guard.trace_hash != kPerfGoldenFast) {
+    throw std::logic_error(
+        "workload engine: guard run diverged from its golden trace");
+  }
+  const telemetry::MetricsRegistry& metrics = session.metrics();
+  const auto spills = metrics.counter(telemetry::Probe::net_arena_allocated);
+  const auto heap =
+      spills - metrics.counter(telemetry::Probe::net_arena_recycled);
+  const double reuse = static_cast<double>(spills) /
+                       static_cast<double>(std::max<std::uint64_t>(heap, 1));
   const bench::JsonReporter::Fields shape{
-      {"rounds", static_cast<double>(pooled.rounds_run)},
-      {"messages_per_round",
-       static_cast<double>(pooled.net.delivered) /
-           static_cast<double>(pooled.rounds_run)}};
-  out.add_ns_per_op("workload_engine_round", ns_per_round(pooled), shape);
-  out.add_ns_per_op("workload_engine_round_seed_baseline",
-                    ns_per_round(seed_path), shape);
-  out.add("speedup_workload_engine",
-          {{"speedup", ns_per_round(seed_path) / ns_per_round(pooled)},
-           {"identical_traffic", 1.0}});
-  std::cout << "\nengine round loop: pooled " << ns_per_round(pooled)
-            << " ns/round vs seed path " << ns_per_round(seed_path)
-            << " ns/round (" << ns_per_round(seed_path) / ns_per_round(pooled)
-            << "x, identical traffic)\n";
+      {"n", 256.0}, {"rounds", static_cast<double>(guard.rounds_run)}};
+  bench::JsonReporter::Fields arena{
+      {"ops_per_sec", reuse},
+      {"spills", static_cast<double>(spills)},
+      {"heap_allocations", static_cast<double>(heap)}};
+  arena.insert(arena.end(), shape.begin(), shape.end());
+  bench::JsonReporter::Fields heap_path{
+      {"ops_per_sec", 1.0}, {"heap_allocations", static_cast<double>(spills)}};
+  heap_path.insert(heap_path.end(), shape.begin(), shape.end());
+  out.add("workload_arena_reuse", std::move(arena));
+  out.add("workload_arena_reuse_seed_baseline", std::move(heap_path));
+  std::cout << "guard pair: " << reuse
+            << " spilled payloads per heap allocation (deterministic)\n";
 }
 
 }  // namespace
@@ -174,13 +201,12 @@ void append_perf_pair(bench::JsonReporter& out, const BenchConfig& config) {
 int main(int argc, char** argv) {
   log::set_level(log::Level::warn);
   BenchConfig config;
+  bool fast = false;
   std::string out_dir = ".";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--fast") == 0) {
-      config.n = 256;
-      config.trials = 2;
-      config.rounds = 96;
-      config.perf_rounds = 128;
+      config = fast_config();
+      fast = true;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_dir = argv[++i];
     } else {
@@ -199,6 +225,6 @@ int main(int argc, char** argv) {
   bench::JsonReporter reporter("workload");
   reporter.set_meta("hash_kernel", crypto::Sha256::kernel_name());
   append_service_rows(reporter, config);
-  append_perf_pair(reporter, config);
+  append_perf_rows(reporter, config, fast);
   return reporter.write(out_dir) ? 0 : 1;
 }

@@ -2,13 +2,12 @@
 //
 // Runs a filtered slice of the scenario registry (the adversary x
 // topology matrix; see src/scenario/) and emits both a lab-notebook
-// table and BENCH_scenarios.json, including the network round-loop
-// batching before/after rows.  CI's campaign-smoke job runs
+// table and BENCH_scenarios.json.  CI's campaign-smoke job runs
 // `campaign --trials 2` over the full registry and validates the JSON.
 //
 //   campaign [--list] [--filter <substring|campaign>] [--trials N]
 //            [--seed S] [--n N] [--threads T] [--out DIR|FILE.json]
-//            [--no-roundloop] [--churn NAME]
+//            [--churn NAME]
 //            [--workload kv|lookup] [--loop open|closed] [--rate R]
 //            [--clients N] [--faults PRESET] [--adversary NAME]
 //            [--retries]
@@ -41,15 +40,11 @@ void usage(const char* argv0) {
       << "                   per-world memory is printed up front and the\n"
       << "                   run refuses to start when it cannot fit)\n"
       << "  --beta B         override the adversarial fraction\n"
-      << "  --threads T      trial fan-out width.  Per-trial values are\n"
-      << "                   scheduling-independent, but aggregated stats\n"
-      << "                   are a function of the shard count, so leave 0\n"
-      << "                   (the default shard count) for bit-identical\n"
-      << "                   cross-machine JSON\n"
+      << "  --threads T      trial fan-out width (0 = default); results\n"
+      << "                   are bit-identical at any width\n"
       << "  --out PATH       where to write the JSON: a directory (gets\n"
       << "                   BENCH_scenarios.json inside) or a path ending\n"
       << "                   in .json (written verbatim); default .\n"
-      << "  --no-roundloop   skip the network round-loop perf rows\n"
       << "  --churn NAME     churn-schedule preset applied to every cell:\n"
       << "                   ";
   for (const auto& preset : tg::scenario::churn_presets()) {
@@ -126,7 +121,6 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   std::string trace_out;
   bool list_only = false;
-  bool round_loop = true;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -207,8 +201,6 @@ int main(int argc, char** argv) {
       metrics_out = next();
     } else if (arg == "--trace-out") {
       trace_out = next();
-    } else if (arg == "--no-roundloop") {
-      round_loop = false;
     } else {
       usage(argv[0]);
       return arg == "--help" || arg == "-h" ? 0 : 2;
@@ -265,8 +257,7 @@ int main(int argc, char** argv) {
             << (options.filter.empty()
                     ? std::string()
                     : " (filter '" + options.filter + "')")
-            << ", threads=" << options.threads
-            << (options.threads == 0 ? " (default shard count)" : "");
+            << ", threads=" << options.threads;
   if (options.workload.enabled()) {
     std::cout << ", workload=" << to_string(options.workload.service) << "/"
               << to_string(options.workload.loop)
@@ -335,9 +326,6 @@ int main(int argc, char** argv) {
   // cell timings stay interpretable.
   reporter.set_meta("hash_kernel", crypto::Sha256::kernel_name());
   scenario::CampaignRunner::report(results, reporter);
-  if (round_loop) {
-    scenario::append_round_loop_benchmark(reporter);
-  }
   const bool wrote = ends_with_json(out_dir) ? reporter.write_file(out_dir)
                                              : reporter.write(out_dir);
   if (!wrote) return 1;

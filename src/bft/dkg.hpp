@@ -9,11 +9,11 @@
 // ends holding a share of the group key on a degree-d polynomial, so
 // any d+1 members can act for the group (threshold signing, etc.).
 //
-// Substitution (DESIGN.md): Feldman's discrete-log commitments are
-// modeled by PolyCommitment, an object that can only be minted through
-// the dealer API and verifies evaluations without revealing the
-// polynomial — the same information interface, enforced by
-// construction rather than by hardness assumptions.
+// Substitution (docs/DEVIATIONS.md#feldman-dkg): Feldman's discrete-log
+// commitments are modeled by PolyCommitment, an object that can only
+// be minted through the dealer API and verifies evaluations without
+// revealing the polynomial — the same information interface, enforced
+// by construction rather than by hardness assumptions.
 #pragma once
 
 #include <cstdint>

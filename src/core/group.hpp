@@ -7,14 +7,14 @@
 // incorrectly (Section III-B).  RED = bad or confused; red groups are
 // adversary-controlled for analysis purposes.
 //
-// Two representations exist (see group_table.hpp):
-//   * `Group` — the legacy array-of-structs record, one heap vector of
-//     member indices per group.  Kept as the hand-construction type
-//     (tests, bft micro-harnesses) and as the selectable legacy layout.
-//   * `GroupTable` — the structure-of-arrays layout used at scale: one
+// Two types describe a group:
+//   * `Group` — a self-contained record with one heap vector of member
+//     indices: the hand-construction type (tests, bft micro-harnesses),
+//     converted into a `GroupTable` when a GroupGraph is built from it.
+//   * `GroupTable` (group_table.hpp) — the epoch storage: one
 //     contiguous member slab plus packed per-group columns.
-// Consumers read groups through `GroupView`, which projects either
-// representation as a span of member indices plus the scalar columns.
+// Consumers read groups through `GroupView`, which projects a table
+// entry as a span of member indices plus the scalar columns.
 #pragma once
 
 #include <cstddef>
@@ -26,8 +26,8 @@
 namespace tg::core {
 
 /// Good-group predicate per Section I-C / III: size within bounds and
-/// bad membership at most the threshold.  Shared by both group
-/// representations so the classification cannot drift between layouts.
+/// bad membership at most the threshold.  Shared by `Group`, `GroupView`
+/// and the table's column scans so the classification cannot drift.
 [[nodiscard]] inline bool group_is_bad(std::size_t size,
                                        std::size_t bad_members,
                                        const Params& p) noexcept {
@@ -76,9 +76,8 @@ struct Group {
 };
 
 /// Contiguous, read-only view over a group's member indices.  Unlike
-/// std::span, equality compares ELEMENTS (the tests' byte-identity
-/// assertions predate the SoA layout and must keep meaning "same
-/// membership", not "same storage").
+/// std::span, equality compares ELEMENTS: "same membership", not
+/// "same storage".
 class MemberSpan {
  public:
   using value_type = std::uint32_t;
@@ -122,10 +121,9 @@ class MemberSpan {
   std::size_t size_ = 0;
 };
 
-/// Read-only projection of one group in either layout: what the
-/// legacy `const Group&` accessor used to hand out, minus ownership.
-/// Cheap to copy; valid while the owning GroupGraph (or Group) lives
-/// and its membership is not mutated.
+/// Read-only projection of one table entry (or of a hand-built
+/// `Group`).  Cheap to copy; valid while the owner lives and its
+/// membership is not mutated.
 struct GroupView {
   std::size_t leader = 0;
   MemberSpan members;
@@ -135,7 +133,7 @@ struct GroupView {
   bool confused = false;
 
   GroupView() = default;
-  GroupView(const Group& g) noexcept  // NOLINT: implicit legacy interop
+  GroupView(const Group& g) noexcept  // NOLINT: implicit, for hand-built groups
       : leader(g.leader),
         members(g.members),
         bad_members(g.bad_members),

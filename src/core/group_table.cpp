@@ -1,38 +1,8 @@
 #include "core/group_table.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 namespace tg::core {
-
-namespace {
-std::atomic<GroupLayout> g_default_layout{GroupLayout::soa};
-std::atomic<bool> g_layout_divergence_fault{false};
-}  // namespace
-
-GroupLayout default_group_layout() noexcept {
-  return g_default_layout.load(std::memory_order_relaxed);
-}
-
-void set_default_group_layout(GroupLayout layout) noexcept {
-  g_default_layout.store(layout, std::memory_order_relaxed);
-}
-
-const char* group_layout_name(GroupLayout layout) noexcept {
-  return layout == GroupLayout::soa ? "soa" : "legacy_aos";
-}
-
-namespace detail {
-
-void set_layout_divergence_fault(bool on) noexcept {
-  g_layout_divergence_fault.store(on, std::memory_order_relaxed);
-}
-
-bool layout_divergence_fault() noexcept {
-  return g_layout_divergence_fault.load(std::memory_order_relaxed);
-}
-
-}  // namespace detail
 
 void GroupTable::reserve(std::size_t groups, std::size_t member_capacity) {
   slab_.reserve(member_capacity);

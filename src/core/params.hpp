@@ -3,7 +3,7 @@
 // All of the paper's guarantees are asymptotic with tunable constants;
 // this struct pins concrete defaults calibrated so that the claimed
 // shapes are visible at simulable scales (n up to ~2^20).  See
-// DESIGN.md Section 5 for the calibration rationale.
+// docs/DEVIATIONS.md#parameter-calibration for the rationale.
 #pragma once
 
 #include <cstddef>

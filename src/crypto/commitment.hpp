@@ -5,9 +5,10 @@
 // revealing sigma_w (otherwise a bad verifier could steal it).  The
 // paper cites a garbled-circuit ZK scheme for the SHA family [25].
 //
-// Substitution (documented in DESIGN.md): we model the ZKP as a
-// commitment-carrying proof object that can only be minted through the
-// prover API, which checks the statement against the actual witness.
+// Substitution (docs/DEVIATIONS.md#zkp-commitment): we model the ZKP
+// as a commitment-carrying proof object that can only be minted
+// through the prover API, which checks the statement against the
+// actual witness.
 // Verifiers see validity plus the public statement, never sigma —
 // exactly the information interface of the real ZKP.  Soundness holds
 // in-simulator because no other code path can construct a proof.

@@ -116,7 +116,7 @@ void Network::flush_reordered() {
 void Network::start() {
   started_ = true;
   for (NodeId i = 0; i < nodes_.size(); ++i) {
-    Context ctx(i, round_, pool_payloads_ ? &arena_ : nullptr);
+    Context ctx(i, round_, &arena_);
     nodes_[i]->on_start(ctx);
     route_outbox(ctx.outbox());
   }
@@ -139,35 +139,21 @@ std::size_t Network::run_round() {
     delayed_[round_].clear();
   }
 
-  // Per-round scratch.  Batched mode reuses the network-owned vectors
-  // (allocation-free once warm: deliveries swap with mailbox buffers,
-  // outboxes round-trip through the node Contexts); legacy mode
-  // allocates fresh vectors every round, preserved as the measurable
-  // "before" of the batching optimisation.
+  // Per-round scratch, reused across rounds (allocation-free once
+  // warm: deliveries swap with mailbox buffers, outboxes round-trip
+  // through the node Contexts).
   const std::size_t n = nodes_.size();
-  std::vector<std::vector<Message>> fresh_deliveries, fresh_outboxes;
-  if (recycle_buffers_) {
-    deliveries_.resize(n);
-    outboxes_.resize(n);
-  } else {
-    fresh_deliveries.resize(n);
-    fresh_outboxes.resize(n);
-  }
-  auto& deliveries = recycle_buffers_ ? deliveries_ : fresh_deliveries;
-  auto& outboxes = recycle_buffers_ ? outboxes_ : fresh_outboxes;
+  deliveries_.resize(n);
+  outboxes_.resize(n);
 
   // Sequential drain in node order: the determinism anchor (the trace
   // hash and the per-node delivery order are fixed here, before any
   // parallelism starts).
   std::size_t delivered = 0;
   for (NodeId i = 0; i < n; ++i) {
-    if (recycle_buffers_) {
-      mailboxes_[i]->drain_into(deliveries[i]);
-    } else {
-      deliveries[i] = mailboxes_[i]->drain();
-    }
-    delivered += deliveries[i].size();
-    for (const Message& m : deliveries[i]) absorb_trace(m);
+    mailboxes_[i]->drain_into(deliveries_[i]);
+    delivered += deliveries_[i].size();
+    for (const Message& m : deliveries_[i]) absorb_trace(m);
   }
   stats_.delivered += delivered;
 
@@ -176,15 +162,14 @@ std::size_t Network::run_round() {
   // outboxes are merged in node order afterwards, making results
   // independent of the chunk schedule and worker count.  Runs on the
   // persistent global pool — no thread churn per round.
-  WordArena* const arena = pool_payloads_ ? &arena_ : nullptr;
   const std::function<void(std::size_t)> process = [&](std::size_t i) {
-    Context ctx(static_cast<NodeId>(i), round_, std::move(outboxes[i]),
-                arena);
+    Context ctx(static_cast<NodeId>(i), round_, std::move(outboxes_[i]),
+                &arena_);
     nodes_[i]->on_messages(
-        std::span<const Message>(deliveries[i].data(), deliveries[i].size()),
+        std::span<const Message>(deliveries_[i].data(), deliveries_[i].size()),
         ctx);
     nodes_[i]->on_round_end(ctx);
-    outboxes[i] = std::move(ctx.outbox());
+    outboxes_[i] = std::move(ctx.outbox());
   };
   if (threads_ <= 1 || n < 2) {
     for (std::size_t i = 0; i < n; ++i) process(i);
@@ -194,7 +179,7 @@ std::size_t Network::run_round() {
 
   // Sequential merge in node order.
   for (NodeId i = 0; i < n; ++i) {
-    route_outbox(outboxes[i]);
+    route_outbox(outboxes_[i]);
   }
   flush_reordered();
   if (telem != nullptr) telem_flush_round(*telem, delivered);
@@ -256,18 +241,6 @@ std::size_t Network::run_until_quiescent(std::size_t max_rounds) {
     if (!pending) break;
   }
   return rounds;
-}
-
-const char* Network::toggles_name() const noexcept {
-  return storage_toggles_name(recycle_buffers_, pool_payloads_);
-}
-
-const char* storage_toggles_name(bool recycle_buffers,
-                                 bool pool_payloads) noexcept {
-  if (recycle_buffers && pool_payloads) return "recycle+pool";
-  if (recycle_buffers) return "recycle";
-  if (pool_payloads) return "pool";
-  return "legacy";
 }
 
 }  // namespace tg::net

@@ -138,42 +138,11 @@ class Network {
     return trace_hash_;
   }
 
-  /// Per-round buffer recycling (on by default): delivery and outbox
-  /// vectors are owned by the network and reused across rounds, and
-  /// mailboxes swap rather than copy on drain, so a warmed-up round
-  /// loop performs no per-round container allocation.  Off = allocate
-  /// fresh vectors every round (the pre-batching behavior) — kept
-  /// selectable so tests can assert the two paths deliver identical
-  /// messages and benches can measure the difference.  Delivered
-  /// messages, their order, and the trace hash are byte-identical in
-  /// both modes.
-  void set_buffer_recycling(bool on) noexcept { recycle_buffers_ = on; }
-  [[nodiscard]] bool buffer_recycling() const noexcept {
-    return recycle_buffers_;
-  }
-
-  /// Payload pooling (on by default): handler Contexts attach the
-  /// network's WordArena to every outgoing payload, so payloads longer
-  /// than Words::kInlineCapacity spill into pooled blocks that return
-  /// to the arena when the delivered message is consumed — the
-  /// payload-level counterpart of buffer recycling.  Off = spill via
-  /// plain heap new[]/delete[] (the legacy representation) — kept
-  /// selectable so tests can assert byte-identical delivered traffic
-  /// between the two paths and benches can measure the difference.
-  void set_payload_pooling(bool on) noexcept { pool_payloads_ = on; }
-  [[nodiscard]] bool payload_pooling() const noexcept {
-    return pool_payloads_;
-  }
-
   /// The payload spill pool (hit/miss/retention counters for tests and
   /// the round-loop bench's steady-state-allocation assertion).
   [[nodiscard]] const WordArena& payload_arena() const noexcept {
     return arena_;
   }
-
-  /// Names this network's storage-toggle combination (see
-  /// storage_toggles_name below).
-  [[nodiscard]] const char* toggles_name() const noexcept;
 
   /// Attach (or detach, with nullptr) the fault plane.  The injector
   /// is not owned and must outlive the network.  With no injector the
@@ -206,8 +175,6 @@ class Network {
   DeliveryPolicy policy_;
   Rng policy_rng_;
   std::size_t threads_;  ///< executor width cap on the global pool
-  bool recycle_buffers_ = true;
-  bool pool_payloads_ = true;
   /// Spill-block pool for message payloads.  Declared before every
   /// container that can hold Messages (nodes, mailboxes, scratch,
   /// delayed slots): members destroy in reverse order, so all
@@ -215,9 +182,9 @@ class Network {
   WordArena arena_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  /// Recycled per-round scratch (recycle_buffers_ mode): deliveries_
-  /// ping-pongs with the mailbox buffers, outboxes_ with the node
-  /// Contexts.
+  /// Recycled per-round scratch: deliveries_ ping-pongs with the
+  /// mailbox buffers, outboxes_ with the node Contexts, so a warmed-up
+  /// round loop performs no per-round container allocation.
   std::vector<std::vector<Message>> deliveries_;
   std::vector<std::vector<Message>> outboxes_;
   /// Messages scheduled for future rounds: slot = round index.
@@ -237,11 +204,5 @@ class Network {
   std::uint64_t trace_hash_ = 1469598103934665603ULL;  // FNV offset
   bool started_ = false;
 };
-
-/// Names a (buffer-recycling, payload-pooling) combination —
-/// "recycle+pool", "recycle", "pool" or "legacy" — for seam-sweep
-/// failure reports (tg::proptest) and bench metadata.
-[[nodiscard]] const char* storage_toggles_name(bool recycle_buffers,
-                                               bool pool_payloads) noexcept;
 
 }  // namespace tg::net

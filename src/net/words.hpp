@@ -14,10 +14,8 @@
 // was allocated from (the arena pointer travels with the object on
 // move), so mixing arena-backed and heap-backed payloads in one
 // container is safe.  Arena-backed payloads must not outlive their
-// Network.  A `Words` with no arena uses plain heap new[]/delete[] —
-// the legacy representation kept selectable via
-// `Network::set_payload_pooling(false)` so tests can assert the two
-// paths deliver byte-identical traffic.
+// Network.  A `Words` with no arena (built outside a Network: inject()
+// callers, tests) spills via plain heap new[]/delete[].
 #pragma once
 
 #include <cstddef>

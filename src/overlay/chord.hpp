@@ -22,10 +22,8 @@ class ChordOverlay final : public InputGraph {
       RingPoint x) const override;
 
  protected:
-  /// Greedy closest-preceding-finger routing; O(log N) hops w.h.p.
-  void route_legacy(Route& out, std::size_t start,
-                    RingPoint key) const override;
-  /// Same greedy loop over the node's pre-resolved finger row.
+  /// Greedy closest-preceding-finger routing over the node's
+  /// pre-resolved finger row; O(log N) hops w.h.p.
   void route_indexed(const RoutingIndex& ix, Route& out, std::size_t start,
                      RingPoint key) const override;
 
@@ -39,5 +37,13 @@ class ChordOverlay final : public InputGraph {
  private:
   int finger_bits_;
 };
+
+/// Greedy closest-preceding-finger routing over pre-resolved rows laid
+/// out [finger 1 .. finger `fingers`, immediate successor] — the step
+/// Chord and Chord++ share (they differ only in the finger targets).
+/// Gives up past `cap` hops with out.ok false.
+void route_closest_preceding(const RoutingIndex& ix, Route& out,
+                             std::size_t start, RingPoint key, int fingers,
+                             std::size_t cap);
 
 }  // namespace tg::overlay

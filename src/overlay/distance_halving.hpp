@@ -33,10 +33,8 @@ class DistanceHalvingOverlay final : public InputGraph {
       RingPoint x) const override;
 
  protected:
-  // Walker-halving hop targets depend on route state — both paths run
-  // one shared loop over a successor resolver (width-0 index).
-  void route_legacy(Route& out, std::size_t start,
-                    RingPoint key) const override;
+  // Walker-halving hop targets depend on route state: grid-only
+  // acceleration (width-0 index).
   void route_indexed(const RoutingIndex& ix, Route& out, std::size_t start,
                      RingPoint key) const override;
 

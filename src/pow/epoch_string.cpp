@@ -27,7 +27,8 @@ bool BinTable::accept(const LotteryString& s) {
   // counter_cap SMALLEST strings per bin — the paper's stated intent
   // in setting c0 >= d'' "so that no smallest values are omitted" —
   // restores set inclusion while keeping state at O(c0 ln n) per bin.
-  // (Documented as a protocol clarification in DESIGN.md.)
+  // (Documented as a protocol clarification in
+  // docs/DEVIATIONS.md#bintable-c0-smallest.)
   const std::size_t j = bin_of(s.output, best_.size() - 1);
   auto& retained = best_[j];
   for (const auto& existing : retained) {

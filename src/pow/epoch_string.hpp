@@ -39,8 +39,9 @@ class BinTable {
   /// Bounded min-set acceptance: accept (and forward) iff the string
   /// enters the counter_cap smallest retained for its bin.  This is
   /// the clarified form of the paper's record-breaking rule (see the
-  /// implementation comment and DESIGN.md for why strict record-
-  /// breaking does not survive multi-string same-bin late release).
+  /// implementation comment and docs/DEVIATIONS.md#bintable-c0-smallest
+  /// for why strict record-breaking does not survive multi-string
+  /// same-bin late release).
   [[nodiscard]] bool accept(const LotteryString& s);
 
   /// Smallest output seen overall (the node's s^{i*} candidate).

@@ -16,7 +16,8 @@
 // steps), so a good machine's solve time is Erlang(K) with relative
 // deviation 1/sqrt(K), and the adversary's ID count over the window
 // has relative deviation 1/sqrt(K beta n) — both inside the (1+eps)
-// slack for K = 100, eps = 0.3.  Documented in DESIGN.md.
+// slack for K = 100, eps = 0.3.  Documented in
+// docs/DEVIATIONS.md#id-generation-slack.
 //
 // The simulation measures exactly the lemma's two claims: the COUNT
 // of adversarial IDs per window and their DISTRIBUTION (KS-tested by

@@ -13,7 +13,8 @@
 //  * PuzzleOracle — the statistically exact sampling substitute for
 //    fleet-scale benches: the number of solutions in A attempts is
 //    Binomial(A, tau/2^64) and each solution's ID is u.a.r. (because f
-//    is a random oracle).  DESIGN.md documents this substitution.
+//    is a random oracle).  docs/DEVIATIONS.md#pow-random-oracle
+//    documents this substitution.
 #pragma once
 
 #include <cstdint>

@@ -3,8 +3,8 @@
 //
 // Execution: each cell runs through sim::run_trials_multi, which
 // shards trials over ThreadPool::global() with sharding-invariant
-// per-trial seeding — so campaign output is bit-identical across
-// machines and thread counts.  Reporting: one JSON row per
+// per-trial seeding and folds results in trial order — so campaign
+// output is bit-identical across machines and thread counts.  Reporting: one JSON row per
 // (scenario, metric) in the tg::bench::JsonReporter schema, written as
 // BENCH_scenarios.json (documented in bench/README.md; consumed by
 // CI's campaign-smoke job).
@@ -51,9 +51,8 @@ struct CampaignOptions {
   /// Lifecycle axis: force the self-healing retry lifecycle on (true)
   /// or off (false) for every matched cell (the CLI's `--retries`).
   std::optional<bool> retries_override;
-  /// Fan-out width passed to sim::run_trials_multi.  0 keeps the
-  /// default shard count — REQUIRED for cross-machine determinism
-  /// (the shard count is part of the merge order).
+  /// Fan-out width passed to sim::run_trials_multi (0 = the default
+  /// shard count).  Results are identical at any value.
   std::size_t threads = 0;
 };
 
@@ -96,17 +95,15 @@ class CampaignRunner {
 
 /// One configuration of the synthetic chatter round loop — the
 /// allocation-pattern microworkload behind the net runtime's perf
-/// trajectory (buffer recycling in PR 2, payload pooling in PR 3).
+/// trajectory (bench_net_roundloop, bench_scale, bench_telemetry).
 struct RoundLoopConfig {
   std::size_t nodes = 256;
   std::size_t fanout = 4;
   std::size_t rounds = 300;
   /// Words per chatter message (clamped to >= 2: round + checksum).
-  /// Above Words::kInlineCapacity every message spills, which is what
-  /// makes payload pooling measurable.
+  /// Above Words::kInlineCapacity every message spills into the
+  /// network's payload arena.
   std::size_t payload_words = 2;
-  bool recycle_buffers = true;
-  bool pool_payloads = true;
   std::uint64_t seed = 42;
 };
 
@@ -114,30 +111,17 @@ struct RoundLoopResult {
   double ns_per_round = 0.0;
   std::uint64_t trace_hash = 0;
   std::uint64_t delivered = 0;
-  /// Payload-arena counters after the run (zeros when pooling off).
+  /// Payload-arena counters after the run.
   std::uint64_t arena_allocated = 0;
   std::uint64_t arena_recycled = 0;
   std::uint64_t arena_heap_allocations = 0;
 };
 
-/// Run the chatter workload under one configuration.  Delivered
-/// traffic (and hence trace_hash) is a pure function of
-/// (nodes, fanout, rounds, payload_words, seed) — the buffer/payload
-/// toggles must not change it, which is what the equivalence checks
-/// in append_round_loop_benchmark and tests/test_net.cpp assert.
+/// Run the chatter workload under one configuration (one executor
+/// thread).  Delivered traffic (and hence trace_hash) is a pure
+/// function of (nodes, fanout, rounds, payload_words, seed); the
+/// golden tests in tests/test_scenario.cpp pin it.
 [[nodiscard]] RoundLoopResult run_chatter_round_loop(
     const RoundLoopConfig& config);
-
-/// Measure the network round loop along the optimization trajectory —
-/// legacy (fresh vectors + heap payload spill), batched (recycled
-/// buffers, PR 2), pooled (recycled buffers + arena payloads) — verify
-/// all three deliver byte-identical traffic (trace hash), and append
-/// net_round_loop_legacy / net_round_loop_batched /
-/// net_round_loop_pooled plus the two speedup rows to the reporter.
-void append_round_loop_benchmark(bench::JsonReporter& out,
-                                 std::size_t nodes = 256,
-                                 std::size_t fanout = 4,
-                                 std::size_t rounds = 300,
-                                 std::size_t payload_words = 12);
 
 }  // namespace tg::scenario

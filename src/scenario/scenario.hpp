@@ -20,7 +20,7 @@
 // Determinism contract: a cell's metrics are a pure function of its
 // spec (same spec + seed -> bit-identical statistics at any machine
 // and thread count), inherited from sim::run_trials_multi's
-// sharding-invariant seeding with the default shard count.
+// sharding-invariant seeding and trial-order fold.
 #pragma once
 
 #include <cstddef>

@@ -35,15 +35,12 @@ std::vector<RunningStats> run_trials_multi(
   telemetry::Capture* const cap = telemetry::capture();
   const std::uint64_t telem_scope = cap != nullptr ? cap->next_scope() : 0;
 
-  // Per-shard accumulators merged in shard order AFTER the parallel
-  // region: results are a pure function of (seed, trials, shard_count),
-  // independent of scheduling — repeated runs are bit-identical.
-  std::vector<std::vector<RunningStats>> locals(
-      shard_count, std::vector<RunningStats>(metric_count));
+  // Row t holds trial t's metric values; the fold below runs in trial
+  // order, so the float accumulation never depends on the sharding.
+  std::vector<double> values(trials * metric_count, 0.0);
   parallel_for_shards(
       shard_count,
       [&](std::size_t shard) {
-        std::vector<RunningStats>& local = locals[shard];
         std::vector<double> metrics(metric_count, 0.0);
         for (std::size_t t = shard; t < trials; t += shard_count) {
           telemetry::Session* session = nullptr;
@@ -55,15 +52,15 @@ std::vector<RunningStats> run_trials_multi(
           Rng rng(mix64(seed ^ (0x9e3779b97f4a7c15ULL * (t + 1))));
           std::fill(metrics.begin(), metrics.end(), 0.0);
           trial(rng, t, metrics);
-          for (std::size_t m = 0; m < metric_count; ++m) {
-            local[m].add(metrics[m]);
-          }
+          std::copy(metrics.begin(), metrics.end(),
+                    values.begin() +
+                        static_cast<std::ptrdiff_t>(t * metric_count));
         }
       },
       threads);
-  for (std::size_t shard = 0; shard < shard_count; ++shard) {
+  for (std::size_t t = 0; t < trials; ++t) {
     for (std::size_t m = 0; m < metric_count; ++m) {
-      totals[m].merge(locals[shard][m]);
+      totals[m].add(values[t * metric_count + m]);
     }
   }
   return totals;

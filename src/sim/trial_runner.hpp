@@ -2,11 +2,10 @@
 //
 // Trials are sharded across the thread pool; each trial gets an Rng
 // seeded from (experiment_seed, trial_index), so per-trial values
-// never depend on scheduling.  Aggregated statistics are a pure
-// function of (seed, trials, shard_count) — the shard count fixes the
-// float-merge grouping — so bit-identical cross-machine results
-// require the same `threads` argument (0 pins the default shard
-// count, which is why campaign runs default to it).
+// never depend on scheduling.  Each trial's values are kept by trial
+// index and folded into the statistics in trial order afterwards, so
+// aggregates are a pure function of (seed, trials) — bit-identical at
+// any `threads` value.
 #pragma once
 
 #include <cstdint>

@@ -870,8 +870,6 @@ RunResult run(Service& service, const Spec& spec_in, std::uint64_t seed,
     injector.emplace(spec.faults);
     network.set_fault_injector(&*injector);
   }
-  network.set_buffer_recycling(spec.recycle_buffers);
-  network.set_payload_pooling(spec.pool_payloads);
 
   std::vector<GroupNode*> groups;
   groups.reserve(world.groups());

@@ -133,14 +133,8 @@ struct Spec {
 
   /// Synthetic certificate words padding every request/reply (above
   /// net::Words::kInlineCapacity the traffic exercises the payload
-  /// arena — what the engine's perf pair measures).
+  /// arena — what bench_workload's arena guard pair measures).
   std::size_t padding_words = 4;
-
-  // Runtime storage toggles, kept selectable like the net layer's so
-  // the workload bench can measure pooled vs the seed allocation path
-  // on byte-identical traffic.
-  bool recycle_buffers = true;
-  bool pool_payloads = true;
 };
 
 struct RunResult {

@@ -280,48 +280,167 @@ TEST(OverlayNeighbors, DuplicateTargetsCollapseAndSelfIsExcluded) {
   }
 }
 
-// ---------- indexed-vs-legacy dispatch seam ----------
+// ---------- the routing index against its reference ----------
+//
+// RingTable::successor_index (a binary search) is the reference the
+// index must reproduce: the grid for every lookup, the pre-resolved
+// rows for the lookups each overlay's routing step would make.
 
-TEST(RoutingIndexSeam, ToggleAndPathNamesRoundTrip) {
-  const bool saved = routing_index_enabled();
-  set_routing_index_enabled(true);
-  EXPECT_TRUE(routing_index_enabled());
-  EXPECT_STREQ(routing_path_name(routing_index_enabled()), "indexed");
-  set_routing_index_enabled(false);
-  EXPECT_FALSE(routing_index_enabled());
-  EXPECT_STREQ(routing_path_name(routing_index_enabled()), "legacy");
-  set_routing_index_enabled(saved);
-}
+constexpr std::size_t kIndexSizes[] = {1, 2, 7, 64, 777};
 
-TEST(RoutingIndexSeam, IndexedMatchesLegacyOnEveryOverlayAndScale) {
-  const bool saved = routing_index_enabled();
-  Rng rng(82);
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{64},
-        std::size_t{777}}) {
+TEST(RoutingIndex_, SuccessorIndexEqualsRingTableOnRandomAndBoundaryPoints) {
+  Rng rng(85);
+  for (const std::size_t n : kIndexSizes) {
     const auto table = ids::RingTable::uniform(n, rng);
-    for (const Kind kind : all_kinds()) {
-      const auto graph = make_overlay(kind, table);
-      for (int i = 0; i < 50; ++i) {
-        const std::size_t start = rng.below(n);
-        const ids::RingPoint key{rng.u64()};
-        set_routing_index_enabled(false);
-        const Route legacy = graph->route(start, key);
-        set_routing_index_enabled(true);
-        const Route indexed = graph->route(start, key);
-        ASSERT_EQ(legacy.ok, indexed.ok)
-            << graph->name() << " n=" << n << " trial " << i;
-        ASSERT_TRUE(legacy.path == indexed.path)
-            << graph->name() << " n=" << n << " diverged at trial " << i;
+    const RoutingIndex ix(table, 0);
+    std::vector<RingPoint> probes = {RingPoint{0}, RingPoint{~0ULL},
+                                     RingPoint{1}, RingPoint{ids::kHalfRing}};
+    // Table points and their neighbours on either side.
+    for (std::size_t i = 0; i < n; ++i) {
+      probes.push_back(table.at(i));
+      probes.push_back(table.at(i).advanced(1));
+      probes.push_back(table.at(i).advanced(~0ULL));
+    }
+    // Grid-bucket corners (and one past/before) at every resolution.
+    for (int bits = 1; bits <= 27; ++bits) {
+      for (std::uint64_t k = 0; k < 4; ++k) {
+        const RingPoint corner{k << (64 - bits)};
+        probes.push_back(corner);
+        probes.push_back(corner.advanced(1));
+        probes.push_back(corner.advanced(~0ULL));
       }
     }
+    for (int i = 0; i < 2000; ++i) probes.push_back(RingPoint{rng.u64()});
+    for (const RingPoint x : probes) {
+      ASSERT_EQ(ix.successor_index(x), table.successor_index(x))
+          << "n=" << n << " x=" << x.raw();
+    }
   }
-  set_routing_index_enabled(saved);
 }
 
-TEST(RoutingIndexSeam, RouteManyMatchesRouteOneByOne) {
-  const bool saved = routing_index_enabled();
-  set_routing_index_enabled(true);
+TEST(RoutingIndex_, GridProbesFewerPointsThanBinarySearch) {
+  Rng rng(86);
+  const auto table = ids::RingTable::uniform(100'000, rng);
+  const RoutingIndex ix(table, 0);
+  std::size_t probes = 0;
+  constexpr std::size_t kLookups = 4096;
+  for (std::size_t i = 0; i < kLookups; ++i) {
+    probes += ix.probe_count(RingPoint{rng.u64()});
+  }
+  // ~2 buckets per point: under two compared points per lookup on
+  // average, against ~17 for a binary search over 10^5 points.
+  EXPECT_LT(static_cast<double>(probes) / kLookups, 2.0);
+}
+
+TEST(RoutingIndex_, PreResolvedRowsEqualTheTableLookupsTheyReplace) {
+  Rng rng(87);
+  for (const std::size_t n : kIndexSizes) {
+    const auto table = ids::RingTable::uniform(n, rng);
+    const auto succ = [&table](RingPoint x) {
+      return static_cast<std::uint32_t>(table.successor_index(x));
+    };
+    // Chord: [finger 1 .. finger k, immediate successor].
+    {
+      const auto graph = make_overlay(Kind::chord, table);
+      const RoutingIndex& ix = graph->index();
+      const std::size_t fingers = ix.row_width() - 1;
+      for (std::size_t i = 0; i < n; ++i) {
+        const RingPoint x = table.at(i);
+        const std::uint32_t* row = ix.row(i);
+        for (std::size_t f = 1; f <= fingers; ++f) {
+          ASSERT_EQ(row[f - 1], succ(x.advanced(1ULL << (64 - f))))
+              << "chord n=" << n << " node " << i << " finger " << f;
+        }
+        ASSERT_EQ(row[fingers], succ(x.advanced(1))) << "chord n=" << n;
+      }
+    }
+    // Chord++: the same shape over the perturbed finger offsets.
+    {
+      const ChordPPOverlay graph(table);
+      const RoutingIndex& ix = graph.index();
+      const std::size_t fingers = ix.row_width() - 1;
+      for (std::size_t i = 0; i < n; ++i) {
+        const RingPoint x = table.at(i);
+        const std::uint32_t* row = ix.row(i);
+        for (std::size_t f = 1; f <= fingers; ++f) {
+          ASSERT_EQ(row[f - 1], succ(x.advanced(graph.finger_offset(
+                                    x, static_cast<int>(f)))))
+              << "chord++ n=" << n << " node " << i << " finger " << f;
+        }
+        ASSERT_EQ(row[fingers], succ(x.advanced(1))) << "chord++ n=" << n;
+      }
+    }
+    // Viceroy: [down-right (half ring), down-left per level].
+    {
+      const auto graph = make_overlay(Kind::viceroy, table);
+      const RoutingIndex& ix = graph->index();
+      const std::size_t levels = ix.row_width() - 1;
+      for (std::size_t i = 0; i < n; ++i) {
+        const RingPoint x = table.at(i);
+        const std::uint32_t* row = ix.row(i);
+        ASSERT_EQ(row[0], succ(x.advanced(ids::kHalfRing)))
+            << "viceroy n=" << n << " node " << i;
+        for (std::size_t level = 1; level <= levels; ++level) {
+          ASSERT_EQ(row[level], succ(x.advanced(1ULL << (64 - level))))
+              << "viceroy n=" << n << " node " << i << " level " << level;
+        }
+      }
+    }
+    // The state-dependent overlays keep no rows: grid lookups only.
+    for (const Kind kind : {Kind::debruijn, Kind::distance_halving,
+                            Kind::kautz, Kind::tapestry}) {
+      EXPECT_EQ(make_overlay(kind, table)->index().row_width(), 0u);
+    }
+  }
+}
+
+TEST(RoutingGolden, RouteHashPerOverlayKind) {
+  // FNV-1a over (ok, hop count, hops) of 50 routes per size, folded
+  // across n in {1, 2, 7, 64, 777}.  Produced when the per-hop
+  // binary-search routes were retired, with those routes and the
+  // indexed routes agreeing on every hop.  de Bruijn and distance
+  // halving share one hash: both walk the same halving sequence.
+  const std::pair<Kind, std::uint64_t> goldens[] = {
+      {Kind::chord, 0xda63ffbbab226bd2ULL},
+      {Kind::debruijn, 0x0abe8ee2992281fbULL},
+      {Kind::distance_halving, 0x0abe8ee2992281fbULL},
+      {Kind::viceroy, 0xc4678788fa6eeacbULL},
+      {Kind::kautz, 0xfe78b3fdc3be3428ULL},
+      {Kind::tapestry, 0xa5b402c9c229ee97ULL},
+      {Kind::chordpp, 0xce5becb2d6f084f6ULL}};
+  for (const auto& [kind, golden] : goldens) {
+    Rng rng(82);
+    std::uint64_t one_by_one = 1469598103934665603ULL;
+    std::uint64_t batched = one_by_one;
+    const auto mix = [](std::uint64_t& h, const Route& r) {
+      const auto fold = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= 1099511628211ULL;
+      };
+      fold(r.ok ? 1 : 0);
+      fold(r.path.size());
+      for (const auto hop : r.path) fold(hop);
+    };
+    for (const std::size_t n : kIndexSizes) {
+      const auto table = ids::RingTable::uniform(n, rng);
+      const auto graph = make_overlay(kind, table);
+      std::vector<RouteQuery> queries;
+      for (int i = 0; i < 50; ++i) {
+        const std::size_t start = rng.below(n);
+        const RingPoint key{rng.u64()};
+        queries.push_back({start, key});
+        mix(one_by_one, graph->route(start, key));
+      }
+      std::vector<Route> batch;
+      graph->route_many(queries, batch);
+      for (const Route& r : batch) mix(batched, r);
+    }
+    EXPECT_EQ(one_by_one, golden) << kind_name(kind);
+    EXPECT_EQ(batched, golden) << kind_name(kind) << " (route_many)";
+  }
+}
+
+TEST(RoutingIndex_, RouteManyMatchesRouteOneByOne) {
   Rng rng(83);
   const auto table = ids::RingTable::uniform(512, rng);
   for (const Kind kind : all_kinds()) {
@@ -341,10 +460,9 @@ TEST(RoutingIndexSeam, RouteManyMatchesRouteOneByOne) {
                                              << i;
     }
   }
-  set_routing_index_enabled(saved);
 }
 
-TEST(RoutingIndexSeam, IndexRebuildsAfterTableMutation) {
+TEST(RoutingIndex_, IndexRebuildsAfterTableMutation) {
   Rng rng(84);
   auto table = ids::RingTable::uniform(128, rng);
   const auto graph = make_overlay(Kind::chord, table);
@@ -355,18 +473,24 @@ TEST(RoutingIndexSeam, IndexRebuildsAfterTableMutation) {
   EXPECT_GT(table.version(), v0);
   const RoutingIndex& rebuilt = graph->index();
   EXPECT_EQ(rebuilt.size(), table.size());
-  // Indexed routing stays hop-identical against the mutated table.
+  // The rebuilt rows hold the mutated table's lookups, and routes
+  // through them still end at the key's owner.
+  const std::size_t fingers = rebuilt.row_width() - 1;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const RingPoint x = table.at(i);
+    for (std::size_t f = 1; f <= fingers; ++f) {
+      ASSERT_EQ(rebuilt.row(i)[f - 1],
+                table.successor_index(x.advanced(1ULL << (64 - f))));
+    }
+    ASSERT_EQ(rebuilt.row(i)[fingers], table.successor_index(x.advanced(1)));
+  }
   for (int i = 0; i < 40; ++i) {
     const std::size_t start = rng.below(table.size());
     const ids::RingPoint key{rng.u64()};
-    const bool saved = routing_index_enabled();
-    set_routing_index_enabled(false);
-    const Route legacy = graph->route(start, key);
-    set_routing_index_enabled(true);
-    const Route indexed = graph->route(start, key);
-    set_routing_index_enabled(saved);
-    ASSERT_EQ(legacy.ok, indexed.ok);
-    ASSERT_TRUE(legacy.path == indexed.path);
+    ASSERT_EQ(rebuilt.successor_index(key), table.successor_index(key));
+    const Route route = graph->route(start, key);
+    ASSERT_TRUE(route.ok);
+    ASSERT_EQ(route.path.back(), table.successor_index(key));
   }
 }
 

@@ -2,12 +2,11 @@
 //
 // Where the unit suites pin concrete behaviours, these properties
 // assert the paper's structural invariants across GENERATED inputs —
-// overlays x sizes x adversary strength x seeds x the full dispatch
-// seam cross-product (layout x pooling x recycling x hash kernel x
-// thread count).  Every case is replayable: a failure prints a
-// `TG_PROP_SEED=... ctest -R ...` line that regenerates the shrunk
-// minimal counterexample byte-for-byte (see docs/ARCHITECTURE.md,
-// "Property testing & replay").
+// overlays x sizes x adversary strength x seeds x the dispatch seam
+// cross-product (hash kernel x thread count).  Every case is
+// replayable: a failure prints a `TG_PROP_SEED=... ctest -R ...` line
+// that regenerates the shrunk minimal counterexample byte-for-byte
+// (see docs/ARCHITECTURE.md, "Property testing & replay").
 //
 // Base iteration counts are sized to each property's cost (hundreds
 // for arithmetic, single digits for whole-world builds); the nightly
@@ -266,15 +265,15 @@ TEST(OverlayProperties, EveryNodeIsReachableFromEverySampledStart) {
       });
 }
 
-TEST(OverlayProperties, IndexedRouteEqualsLegacyHopForHop) {
-  // THE hop-identity contract of the routing engine: the epoch-resident
-  // index is an acceleration structure, not a new algorithm.  For every
-  // overlay kind and table size (down to single-node tables) the
-  // indexed path must reproduce the legacy path hop for hop, and the
-  // batch evaluator must agree with one-at-a-time routing.
+TEST(OverlayProperties, IndexReproducesTableLookupsAndBatchesAgree) {
+  // The routing index is an acceleration structure, not a new
+  // algorithm: for every overlay kind and table size (down to
+  // single-node tables) its grid must return the table's binary-search
+  // successor, a route must end at that successor, and the batch
+  // evaluator must agree with one-at-a-time routing.
   using Case = std::tuple<overlay::Kind, std::uint64_t, std::uint64_t>;
   expect_property<Case>(
-      "overlay.indexed-route-equals-legacy",
+      "overlay.index-reproduces-table-lookups",
       proptest::tuple_of(overlay_kind(), proptest::in_range(1, 300),
                          proptest::u64()),
       [](const Case& c) {
@@ -282,34 +281,28 @@ TEST(OverlayProperties, IndexedRouteEqualsLegacyHopForHop) {
         Rng rng(seed);
         const auto table = ids::RingTable::uniform(n, rng);
         const auto graph = overlay::make_overlay(kind, table);
-        const bool saved = overlay::routing_index_enabled();
-        bool pass = true;
+        const overlay::RoutingIndex& ix = graph->index();
         std::vector<overlay::RouteQuery> queries;
-        std::vector<overlay::Route> legacy_routes;
-        for (int i = 0; i < 25 && pass; ++i) {
+        std::vector<overlay::Route> singles;
+        for (int i = 0; i < 25; ++i) {
           const std::size_t start = rng.below(n);
           const ids::RingPoint key{rng.u64()};
-          overlay::set_routing_index_enabled(false);
-          const auto legacy = graph->route(start, key);
-          overlay::set_routing_index_enabled(true);
-          const auto indexed = graph->route(start, key);
-          pass = legacy.ok == indexed.ok && legacy.path == indexed.path;
+          const std::size_t owner = table.successor_index(key);
+          if (ix.successor_index(key) != owner) return false;
+          auto route = graph->route(start, key);
+          if (!route.ok || route.path.back() != owner) return false;
           queries.push_back({start, key});
-          legacy_routes.push_back(legacy);
+          singles.push_back(std::move(route));
         }
-        if (pass) {
-          // Batch evaluation resolves the index once and must agree
-          // with the per-call path for the identical query list.
-          overlay::set_routing_index_enabled(true);
-          std::vector<overlay::Route> batch;
-          graph->route_many(queries, batch);
-          for (std::size_t i = 0; i < batch.size() && pass; ++i) {
-            pass = batch[i].ok == legacy_routes[i].ok &&
-                   batch[i].path == legacy_routes[i].path;
+        std::vector<overlay::Route> batch;
+        graph->route_many(queries, batch);
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          if (batch[i].ok != singles[i].ok ||
+              !(batch[i].path == singles[i].path)) {
+            return false;
           }
         }
-        overlay::set_routing_index_enabled(saved);
-        return pass;
+        return true;
       },
       iters(14),
       [](const Case& c) {
@@ -319,7 +312,7 @@ TEST(OverlayProperties, IndexedRouteEqualsLegacyHopForHop) {
       });
 }
 
-// ---------- Group-graph construction, across beta x layout ----------
+// ---------- Group-graph construction, across beta x kernel ----------
 
 Gen<double> beta_notch() {
   // The paper's working range, 5% notches; shrinks toward beta = 0.
@@ -327,17 +320,16 @@ Gen<double> beta_notch() {
       [](std::uint64_t b) { return 0.05 * static_cast<double>(b); });
 }
 
-TEST(CoreProperties, StructuralInvariantsHoldAcrossBetaAndLayout) {
+TEST(CoreProperties, StructuralInvariantsHoldAcrossBetaAndKernels) {
   struct Case {
     double beta = 0.0;
-    core::GroupLayout layout = core::GroupLayout::soa;
+    SeamConfig seams;
     std::uint64_t n = 0, seed = 0;
   };
   Gen<Case> gen{[](Source& src) {
     Case c;
     c.beta = beta_notch().run(src);
-    c.layout = src.below(2) == 0 ? core::GroupLayout::soa
-                                 : core::GroupLayout::legacy_aos;
+    c.seams = proptest_domains::seam_config(1).run(src);
     c.n = 256 + 128 * src.below(4);
     c.seed = src.draw();
     return c;
@@ -346,9 +338,7 @@ TEST(CoreProperties, StructuralInvariantsHoldAcrossBetaAndLayout) {
       "core.structural-invariants",
       gen,
       [](const Case& c) {
-        SeamConfig config;
-        config.layout = c.layout;
-        const SeamScope scope(config);
+        const SeamScope scope(c.seams);
         core::Params p;
         p.n = c.n;
         p.beta = c.beta;
@@ -388,9 +378,8 @@ TEST(CoreProperties, StructuralInvariantsHoldAcrossBetaAndLayout) {
       iters(6),
       [](const Case& c) {
         std::ostringstream out;
-        out << "beta=" << c.beta << " layout="
-            << core::group_layout_name(c.layout) << " n=" << c.n << " seed "
-            << show_u64s({c.seed});
+        out << "beta=" << c.beta << ' ' << c.seams.describe() << " n=" << c.n
+            << " seed " << show_u64s({c.seed});
         return out.str();
       });
 }
@@ -425,61 +414,51 @@ TEST(CoreProperties, MeanBadShareTracksBeta) {
       });
 }
 
-// ---------- Churn sequences: layout equivalence + monotone damage ----------
+// ---------- Churn sequences: kernel invariance + monotone damage ----------
 
-/// FNV-1a over every group view + red flag: the layout-equivalence
-/// fingerprint (same as the scale suite's).
-std::uint64_t graph_fingerprint(const core::GroupGraph& graph) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t w) {
-    h ^= w;
-    h *= 1099511628211ull;
+TEST(ChurnProperties, SequencesAreKernelInvariant) {
+  // A churn sequence's resulting epoch (GroupGraph::fingerprint) is a
+  // pure function of the world and the sequence: forcing a generated
+  // hash-kernel dispatch must not change one group.
+  struct Case {
+    std::vector<proptest_domains::ChurnStep> steps;
+    std::uint64_t seed = 0;
+    SeamConfig seams;
   };
-  for (std::size_t i = 0; i < graph.size(); ++i) {
-    const auto grp = graph.group(i);
-    mix(grp.leader);
-    mix(grp.bad_members);
-    mix(grp.confused);
-    mix(graph.is_red(i) ? 1 : 0);
-    for (const auto m : grp.members) mix(m);
-  }
-  return h;
-}
-
-TEST(ChurnProperties, SequencesAreLayoutInvariant) {
-  using Steps = std::vector<proptest_domains::ChurnStep>;
-  using Case = std::pair<Steps, std::uint64_t>;  // (sequence, world seed)
+  Gen<Case> gen{[](Source& src) {
+    Case c;
+    c.steps = proptest_domains::churn_sequence(4).run(src);
+    c.seed = src.draw();
+    c.seams = proptest_domains::seam_config(1).run(src);
+    return c;
+  }};
   expect_property<Case>(
-      "churn.sequences-are-layout-invariant",
-      proptest::pair_of(proptest_domains::churn_sequence(4), proptest::u64()),
+      "churn.sequences-are-kernel-invariant", gen,
       [](const Case& c) {
         core::Params p;
         p.n = 512;
         p.beta = 0.15;
-        p.seed = c.second;
-        const auto run = [&](core::GroupLayout layout) {
-          SeamConfig config;
-          config.layout = layout;
+        p.seed = c.seed;
+        const auto run = [&](const SeamConfig& config) {
           const SeamScope scope(config);
           Rng rng(p.seed);
           auto pop = std::make_shared<const core::Population>(
               core::Population::uniform(p.n, p.beta, rng));
           const crypto::OracleSuite oracles(p.seed);
           auto graph = core::GroupGraph::pristine(p, pop, oracles.h1);
-          for (const auto& step : c.first) {
+          for (const auto& step : c.steps) {
             Rng churn_rng(step.salt);
             (void)core::apply_good_departures(graph, step.departure_fraction,
                                               churn_rng);
           }
-          return graph_fingerprint(graph);
+          return graph.fingerprint();
         };
-        return run(core::GroupLayout::soa) ==
-               run(core::GroupLayout::legacy_aos);
+        return run(SeamConfig{}) == run(c.seams);
       },
       iters(4),
       [](const Case& c) {
-        return proptest_domains::show_churn(c.first) + " world seed " +
-               show_u64s({c.second});
+        return proptest_domains::show_churn(c.steps) + " world seed " +
+               show_u64s({c.seed}) + ' ' + c.seams.describe();
       });
 }
 
@@ -699,11 +678,8 @@ TrafficSnapshot run_traffic_under(const scenario::ScenarioSpec& spec,
   const workload::World world = workload::world_for_trial(spec, false, rng);
   const auto service =
       workload::make_service(spec.workload.service, world, 128, rng());
-  workload::Spec engine = workload::engine_spec(spec, false);
-  engine.recycle_buffers = config.recycle_buffers;
-  engine.pool_payloads = config.pool_payloads;
-  const workload::RunResult res =
-      workload::run(*service, engine, rng(), config.threads);
+  const workload::RunResult res = workload::run(
+      *service, workload::engine_spec(spec, false), rng(), config.threads);
   return {res.trace_hash,          res.recorder.issued,
           res.recorder.completed,  res.recorder.failed,
           res.recorder.timed_out,  res.recorder.latency.p50(),
@@ -713,9 +689,9 @@ TrafficSnapshot run_traffic_under(const scenario::ScenarioSpec& spec,
 TEST(WorkloadProperties, TrafficIsInvariantAcrossTheSeamCrossProduct) {
   // THE determinism contract of the runtime stack: client traffic is a
   // pure function of (spec, seed) — bit-identical metrics and trace
-  // hash at every point of layout x recycling x pooling x kernel x
-  // thread-count.  One case = a generated spec judged at a generated
-  // seam point against the all-defaults point.
+  // hash at every point of kernel x thread-count.  One case = a
+  // generated spec judged at a generated seam point against the
+  // all-defaults point.
   using Case = std::pair<scenario::ScenarioSpec, SeamConfig>;
   expect_property<Case>(
       "workload.traffic-invariant-across-seams",
@@ -832,25 +808,18 @@ TEST(FaultProperties, ZeroProbabilityPlansAreByteIdenticalToNoFaults) {
 // ---------- Telemetry plane ----------
 
 TEST(TelemetryProperties, ExportsAreByteInvariantAcrossTheSeamCrossProduct) {
-  // The telemetry determinism contract, swept over the FULL dispatch
-  // seam cross-product (layout x pooling x recycling x kernel x
-  // routing-index): at ANY generated seam point, the exported metrics
-  // JSON and Chrome trace JSON are byte-identical at 1 executor thread
-  // and at the generated thread count.  Additionally, seams that are
-  // behavior-invisible by contract (layout, kernels, recycling) must
-  // leave the export bytes untouched relative to the default point;
-  // pooling and the routing index legitimately change which probes
-  // fire (arena / index counters), so they are exercised through the
-  // thread axis only.
+  // The telemetry determinism contract, swept over the dispatch seam
+  // cross-product (kernel x thread count): at ANY generated seam point
+  // the exported metrics JSON and Chrome trace JSON are byte-identical
+  // to the default point's (all kernel tiers, 1 executor thread).
   using Case = std::pair<scenario::ScenarioSpec, SeamConfig>;
   expect_property<Case>(
       "telemetry.exports-byte-invariant-across-seams",
       proptest::pair_of(proptest_domains::traffic_spec(),
                         proptest_domains::seam_config(4)),
       [](const Case& c) {
-        const auto export_under =
-            [&](const SeamConfig& config,
-                std::size_t threads) -> std::pair<std::string, std::string> {
+        const auto export_under = [&](const SeamConfig& config)
+            -> std::pair<std::string, std::string> {
           const SeamScope scope(config);
           telemetry::Session session;
           telemetry::set_active(&session);
@@ -859,22 +828,12 @@ TEST(TelemetryProperties, ExportsAreByteInvariantAcrossTheSeamCrossProduct) {
               workload::world_for_trial(c.first, false, rng);
           const auto service = workload::make_service(
               c.first.workload.service, world, 128, rng());
-          workload::Spec engine = workload::engine_spec(c.first, false);
-          engine.recycle_buffers = config.recycle_buffers;
-          engine.pool_payloads = config.pool_payloads;
-          (void)workload::run(*service, engine, rng(), threads);
+          (void)workload::run(*service, workload::engine_spec(c.first, false),
+                              rng(), config.threads);
           telemetry::set_active(nullptr);
           return {session.metrics_json(), session.chrome_trace_json()};
         };
-        const auto narrow = export_under(c.second, 1);
-        const auto wide = export_under(c.second, c.second.threads);
-        if (narrow != wide) return false;
-        SeamConfig invisible;  // defaults for the probe-visible seams
-        invisible.layout = c.second.layout;
-        invisible.kernel_combo = c.second.kernel_combo;
-        invisible.recycle_buffers = c.second.recycle_buffers;
-        const auto baseline = export_under(SeamConfig{}, 1);
-        return export_under(invisible, 1) == baseline;
+        return export_under(c.second) == export_under(SeamConfig{});
       },
       iters(2),
       [](const Case& c) {

@@ -2,8 +2,8 @@
 // env-var replay contract (TG_PROP_SEED / TG_PROP_ITERS /
 // TG_PROP_ARTIFACT_DIR), shrinker convergence to known minimal cases,
 // byte-identical failure-report replay, failing-seed artifacts — and
-// the acceptance end-to-end: a deliberately broken layout-equivalence
-// invariant (core::detail::set_layout_divergence_fault) is caught,
+// the acceptance end-to-end: a deliberately broken epoch invariant
+// (a group's bad-member counter corrupted on the test side) is caught,
 // shrunk to the minimal world, and reproduced bit-identically from
 // TG_PROP_SEED.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include <string>
 
 #include "core/group_graph.hpp"
-#include "core/group_table.hpp"
 #include "core/params.hpp"
 #include "core/population.hpp"
 #include "crypto/oracle.hpp"
@@ -125,15 +124,9 @@ TEST(PropDomains, ZeroTapeSeamConfigIsTheDefaultConfiguration) {
   const std::uint64_t zeros[8] = {};
   Source src{std::span<const std::uint64_t>(zeros)};
   const auto c = proptest_domains::seam_config().run(src);
-  EXPECT_EQ(c.layout, core::GroupLayout::soa);
-  EXPECT_TRUE(c.recycle_buffers);
-  EXPECT_TRUE(c.pool_payloads);
-  EXPECT_TRUE(c.routing_index);
   EXPECT_EQ(c.kernel_combo, 15);
   EXPECT_EQ(c.threads, 1u);
-  EXPECT_EQ(c.describe(),
-            "layout=soa storage=recycle+pool routing=indexed kernels=15 "
-            "threads=1");
+  EXPECT_EQ(c.describe(), "kernels=15 threads=1");
 }
 
 // ---------- check(): iteration & env contract ----------
@@ -331,47 +324,29 @@ TEST(PropArtifacts, SeedFileWrittenWithReproCommand) {
   fs::remove_all(dir);
 }
 
-// ---------- Acceptance: injected layout divergence, end to end ----------
+// ---------- Acceptance: injected epoch divergence, end to end ----------
 
-/// RAII for the deliberate layout-equivalence break.
-struct FaultScope {
-  explicit FaultScope(bool on) { core::detail::set_layout_divergence_fault(on); }
-  ~FaultScope() { core::detail::set_layout_divergence_fault(false); }
-};
-
-/// The layout-equivalence property: pristine epochs built under soa
-/// and legacy_aos from the same (n, seed) must agree on every group
-/// view and red classification.
-bool layouts_agree(std::uint64_t n, std::uint64_t seed) {
-  struct LayoutGuard {
-    core::GroupLayout saved = core::default_group_layout();
-    ~LayoutGuard() { core::set_default_group_layout(saved); }
-  } guard;
-
+/// The epoch invariant: in a pristine epoch built from (n, seed), every
+/// group's bad_members counter equals the bad count over its members.
+/// `corrupt` breaks it on purpose — group 0's counter is bumped through
+/// the public mutation API — so the harness has a real divergence to
+/// catch, shrink and replay.
+bool bad_counts_match_members(std::uint64_t n, std::uint64_t seed,
+                              bool corrupt) {
   core::Params params;
   params.n = n;
   params.seed = seed;
   params.beta = 0.10;
-
-  const auto build = [&](core::GroupLayout layout) {
-    core::set_default_group_layout(layout);
-    Rng rng(params.seed);
-    const auto pop = std::make_shared<const core::Population>(
-        core::Population::uniform(params.n, params.beta, rng));
-    const crypto::OracleSuite oracles(params.seed);
-    return core::GroupGraph::pristine(params, pop, oracles.h1);
-  };
-  const core::GroupGraph soa = build(core::GroupLayout::soa);
-  const core::GroupGraph legacy = build(core::GroupLayout::legacy_aos);
-  if (soa.size() != legacy.size()) return false;
-  for (std::size_t i = 0; i < soa.size(); ++i) {
-    const core::GroupView a = soa.group(i);
-    const core::GroupView b = legacy.group(i);
-    if (a.leader != b.leader || !(a.members == b.members) ||
-        a.bad_members != b.bad_members || a.confused != b.confused ||
-        soa.is_red(i) != legacy.is_red(i)) {
-      return false;
-    }
+  Rng rng(params.seed);
+  const auto pop = std::make_shared<const core::Population>(
+      core::Population::uniform(params.n, params.beta, rng));
+  const crypto::OracleSuite oracles(params.seed);
+  core::GroupGraph graph = core::GroupGraph::pristine(params, pop, oracles.h1);
+  if (corrupt) graph.set_bad_members(0, graph.group(0).bad_members + 1);
+  for (std::size_t i = 0; i < graph.size(); ++i) {
+    std::size_t bad = 0;
+    for (const auto m : graph.members(i)) bad += pop->is_bad(m) ? 1 : 0;
+    if (graph.group(i).bad_members != bad) return false;
   }
   return true;
 }
@@ -386,25 +361,26 @@ std::string show_world(const std::pair<std::uint64_t, std::uint64_t>& w) {
   return out.str();
 }
 
-TEST(PropAcceptance, InjectedLayoutDivergenceCaughtShrunkAndReplayed) {
+TEST(PropAcceptance, InjectedEpochDivergenceCaughtShrunkAndReplayed) {
   const CleanPropEnv clean;
   using Case = std::pair<std::uint64_t, std::uint64_t>;
-  const auto prop = [](const Case& w) {
-    return layouts_agree(w.first, w.second);
+  bool corrupt = false;
+  const auto prop = [&corrupt](const Case& w) {
+    return bad_counts_match_members(w.first, w.second, corrupt);
   };
 
   // Healthy library: the property holds.
   EXPECT_FALSE(
-      check<Case>("layout-equivalence", small_world(), prop, quiet(4),
+      check<Case>("epoch-bad-counts", small_world(), prop, quiet(4),
                   show_world)
           .has_value());
 
-  // Break the invariant behind the test hook: the harness must catch
-  // it and shrink to the MINIMAL world — n at the generator floor,
-  // seed zeroed (the fault diverges every case, so the zero tape
-  // fails and is the global minimum: the empty canonical tape).
-  FaultScope fault(true);
-  const auto failure = check<Case>("layout-equivalence", small_world(), prop,
+  // Break the invariant on the test side: the harness must catch it
+  // and shrink to the MINIMAL world — n at the generator floor, seed
+  // zeroed (the fault diverges every case, so the zero tape fails and
+  // is the global minimum: the empty canonical tape).
+  corrupt = true;
+  const auto failure = check<Case>("epoch-bad-counts", small_world(), prop,
                                    quiet(4), show_world);
   ASSERT_TRUE(failure.has_value());
   EXPECT_TRUE(failure->minimal_tape.empty());
@@ -418,7 +394,7 @@ TEST(PropAcceptance, InjectedLayoutDivergenceCaughtShrunkAndReplayed) {
   std::ostringstream seed_text;
   seed_text << "0x" << std::hex << failure->case_seed;
   const ScopedEnv seed("TG_PROP_SEED", seed_text.str().c_str());
-  const auto replayed = check<Case>("layout-equivalence", small_world(), prop,
+  const auto replayed = check<Case>("epoch-bad-counts", small_world(), prop,
                                     quiet(4), show_world);
   ASSERT_TRUE(replayed.has_value());
   EXPECT_EQ(replayed->report, failure->report);

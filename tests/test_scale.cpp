@@ -1,10 +1,12 @@
-// SoA-vs-legacy layout equivalence: the GroupTable representation
-// toggle (core::set_default_group_layout) must be invisible in every
-// observable — built epochs, red classification, mutation paths
-// (churn, healing), and delivered client traffic — mirroring the net
-// runtime's recycling/pooling toggle contract.  The layout seam is
-// driven through an RAII guard + enumerator, the same shape as the
-// hash-kernel dispatch seams in dispatch_seams.hpp.
+// Epoch goldens: the GroupTable epoch storage pinned by fingerprint.
+//
+// Every constant below was produced at the commit that retired the
+// per-group-vector (array-of-structs) layout, with that layout and the
+// table layout both built and agreeing bit for bit — under every
+// forced hash-kernel combination.  A changed constant means the built
+// epoch changed: leader, membership, counters, confusion or red set.
+// The pristine golden is additionally re-checked under all 16 kernel
+// dispatch combinations here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,53 +19,13 @@
 #include "core/group_table.hpp"
 #include "core/self_heal.hpp"
 #include "crypto/oracle.hpp"
+#include "dispatch_seams.hpp"
 #include "scenario/campaign.hpp"
 #include "util/rng.hpp"
 #include "workload/traffic.hpp"
 
 namespace tg::core {
 namespace {
-
-/// Saves the process-wide layout default and restores it on
-/// destruction, so an ASSERT failure mid-test cannot leave later
-/// tests pinned to the legacy representation.
-struct LayoutGuard {
-  GroupLayout saved = default_group_layout();
-  ~LayoutGuard() { set_default_group_layout(saved); }
-};
-
-/// Runs `body(layout)` under both representations.
-template <typename Body>
-void for_each_layout(Body&& body) {
-  for (const GroupLayout layout :
-       {GroupLayout::soa, GroupLayout::legacy_aos}) {
-    set_default_group_layout(layout);
-    body(layout);
-  }
-}
-
-/// Layout-independent digest of everything a graph observably holds:
-/// FNV-1a over per-group leader, membership, counters, confusion and
-/// red classification.
-std::uint64_t fingerprint(const GroupGraph& graph) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (std::size_t i = 0; i < graph.size(); ++i) {
-    const GroupView g = graph.group(i);
-    mix(g.leader);
-    mix(g.members.size());
-    for (const auto m : g.members) mix(m);
-    mix(g.bad_members);
-    mix(g.corrupted_slots);
-    mix(g.rejected_slots);
-    mix(g.confused ? 1 : 0);
-    mix(graph.is_red(i) ? 1 : 0);
-  }
-  return h;
-}
 
 GroupGraph build_pristine(std::size_t n, std::uint64_t seed) {
   Params params;
@@ -79,89 +41,70 @@ GroupGraph build_pristine(std::size_t n, std::uint64_t seed) {
 
 // ---------- pristine epochs ----------
 
-TEST(LayoutEquivalence, PristineEpochByteIdenticalAtTenThousand) {
-  // n = 10^4 is the acceptance floor: large enough that the streaming
-  // builder's cross-leader batching exercises partial tail blocks.
-  LayoutGuard guard;
-  set_default_group_layout(GroupLayout::soa);
-  const GroupGraph soa = build_pristine(10'000, 2024);
-  set_default_group_layout(GroupLayout::legacy_aos);
-  const GroupGraph legacy = build_pristine(10'000, 2024);
+TEST(EpochGolden, PristineEpochAtTenThousandUnderEveryKernelCombo) {
+  // n = 10^4 is large enough that the streaming builder's cross-leader
+  // batching exercises partial tail blocks.
+  crypto::seams::DispatchGuard guard;
+  crypto::seams::for_each_dispatch([](int combo) {
+    const GroupGraph graph = build_pristine(10'000, 2024);
+    EXPECT_EQ(graph.fingerprint(), 0xd2b7d6309ae5a6f4ULL) << "combo " << combo;
+    EXPECT_EQ(graph.red_count(), 0u) << "combo " << combo;
+  });
+}
 
-  ASSERT_EQ(soa.layout(), GroupLayout::soa);
-  ASSERT_EQ(legacy.layout(), GroupLayout::legacy_aos);
-  ASSERT_EQ(soa.size(), legacy.size());
-  for (std::size_t i = 0; i < soa.size(); ++i) {
-    const GroupView a = soa.group(i);
-    const GroupView b = legacy.group(i);
-    ASSERT_EQ(a.leader, b.leader) << "group " << i;
-    ASSERT_EQ(a.members, b.members) << "group " << i;
-    ASSERT_EQ(a.bad_members, b.bad_members) << "group " << i;
-    ASSERT_EQ(a.confused, b.confused) << "group " << i;
-    ASSERT_EQ(soa.is_red(i), legacy.is_red(i)) << "group " << i;
+TEST(EpochGolden, TableIsDenserThanOneVectorPerGroup) {
+  // The slab + columns footprint stays below what one heap vector per
+  // group (sizeof(Group) per leader plus the member words) would hold.
+  const GroupGraph graph = build_pristine(10'000, 2024);
+  std::size_t members = 0;
+  for (std::size_t i = 0; i < graph.size(); ++i) {
+    members += graph.group_size(i);
   }
-  EXPECT_EQ(fingerprint(soa), fingerprint(legacy));
-  EXPECT_EQ(soa.red_count(), legacy.red_count());
-  EXPECT_DOUBLE_EQ(soa.bad_fraction(), legacy.bad_fraction());
-  // The slab layout is strictly denser than one heap vector per group.
-  EXPECT_LT(soa.memory_bytes(), legacy.memory_bytes());
+  const std::size_t per_group_vectors =
+      graph.size() * sizeof(Group) + members * sizeof(std::uint32_t);
+  EXPECT_LT(graph.memory_bytes(), per_group_vectors);
 }
 
 // ---------- adversarial epoch construction ----------
 
-TEST(LayoutEquivalence, BuilderEpochAndStatsIdenticalAcrossLayouts) {
-  // build_next runs the full dual-search construction — one shared
-  // decision path whose RNG consumption must not depend on where
-  // members are stored.
-  LayoutGuard guard;
+TEST(EpochGolden, BuilderEpochOneAndStatsUnderEveryKernelCombo) {
+  // build_next runs the full dual-search construction: one decision
+  // path whose RNG consumption fixes both graphs and every counter.
   Params params;
   params.n = 2048;
   params.seed = 99;
   params.beta = 0.08;
-
-  std::uint64_t g1_print = 0, g2_print = 0;
-  std::size_t dual_failures = 0, rejects = 0, confused = 0, bad_groups = 0;
-  bool first = true;
-  for_each_layout([&](GroupLayout) {
-    const EpochBuilder builder(params);
+  const EpochBuilder builder(params);
+  crypto::seams::DispatchGuard guard;
+  crypto::seams::for_each_dispatch([&](int combo) {
     Rng rng(params.seed);
     const EpochGraphs epoch0 = builder.initial(rng);
     BuildStats stats;
     const EpochGraphs epoch1 = builder.build_next(epoch0, rng, &stats);
-    if (first) {
-      g1_print = fingerprint(*epoch1.g1);
-      g2_print = fingerprint(*epoch1.g2);
-      dual_failures = stats.membership_dual_failures;
-      rejects = stats.membership_rejects;
-      confused = stats.confused_groups;
-      bad_groups = stats.bad_groups;
-      first = false;
-      return;
-    }
-    EXPECT_EQ(fingerprint(*epoch1.g1), g1_print);
-    EXPECT_EQ(fingerprint(*epoch1.g2), g2_print);
-    EXPECT_EQ(stats.membership_dual_failures, dual_failures);
-    EXPECT_EQ(stats.membership_rejects, rejects);
-    EXPECT_EQ(stats.confused_groups, confused);
-    EXPECT_EQ(stats.bad_groups, bad_groups);
+    EXPECT_EQ(epoch1.g1->fingerprint(), 0x1f95b48377665a77ULL) << combo;
+    EXPECT_EQ(epoch1.g2->fingerprint(), 0xd907f25ba56d77d6ULL) << combo;
+    EXPECT_EQ(stats.membership_requests, 102400u) << combo;
+    EXPECT_EQ(stats.membership_dual_failures, 0u) << combo;
+    EXPECT_EQ(stats.membership_rejects, 0u) << combo;
+    EXPECT_EQ(stats.neighbor_requests, 57344u) << combo;
+    EXPECT_EQ(stats.neighbor_dual_failures, 0u) << combo;
+    EXPECT_EQ(stats.neighbor_rejects, 1u) << combo;
+    EXPECT_EQ(stats.confused_groups, 1u) << combo;
+    EXPECT_EQ(stats.bad_groups, 3u) << combo;
   });
 }
 
 // ---------- mutation paths ----------
 
-TEST(LayoutEquivalence, ChurnAndHealingIdenticalAcrossLayouts) {
+TEST(EpochGolden, ChurnThenHealSequenceUnderEveryKernelCombo) {
   // Departures compact spans in place; healing redraws relocate them
-  // to the slab tail.  Both must land on the same epoch as the legacy
-  // per-group vectors.
-  LayoutGuard guard;
-  std::uint64_t expected_print = 0;
-  std::size_t expected_lost = 0, expected_healed = 0;
-  bool first = true;
-  for_each_layout([&](GroupLayout) {
-    Params params;
-    params.n = 1024;
-    params.seed = 7;
-    params.beta = 0.10;
+  // to the slab tail.
+  Params params;
+  params.n = 1024;
+  params.seed = 7;
+  params.beta = 0.10;
+  crypto::seams::DispatchGuard guard;
+  crypto::seams::for_each_dispatch([&](int combo) {
     Rng rng(params.seed);
     const auto pop = std::make_shared<const Population>(
         Population::uniform(params.n, params.beta, rng));
@@ -175,22 +118,16 @@ TEST(LayoutEquivalence, ChurnAndHealingIdenticalAcrossLayouts) {
     const HealReport heal = self_heal_round(graph, partner, oracles.h1,
                                             /*salt=*/0xFEED, /*probes=*/64,
                                             heal_rng);
-    if (first) {
-      expected_print = fingerprint(graph);
-      expected_lost = churn.groups_lost_majority;
-      expected_healed = heal.healed;
-      first = false;
-      return;
-    }
-    EXPECT_EQ(fingerprint(graph), expected_print);
-    EXPECT_EQ(churn.groups_lost_majority, expected_lost);
-    EXPECT_EQ(heal.healed, expected_healed);
+    EXPECT_EQ(churn.departed_good, 92u) << combo;
+    EXPECT_EQ(churn.groups_lost_majority, 0u) << combo;
+    EXPECT_EQ(heal.healed, 34u) << combo;
+    EXPECT_EQ(graph.fingerprint(), 0xc79d3e96c123ea17ULL) << combo;
   });
 }
 
 // ---------- GroupTable representation properties ----------
 
-TEST(LayoutEquivalence, FromGroupsRoundTripsVerbatim) {
+TEST(GroupTableConversion, FromGroupsRoundTripsVerbatim) {
   // Conversion preserves member ORDER (no re-sort): a graph converted
   // at construction must view back exactly what the vectors held.
   std::vector<Group> groups(3);
@@ -213,7 +150,7 @@ TEST(LayoutEquivalence, FromGroupsRoundTripsVerbatim) {
   }
 }
 
-TEST(LayoutEquivalence, AssignMembersRelocatesWithoutCorruptingNeighbors) {
+TEST(GroupTableConversion, AssignMembersRelocatesWithoutCorruptingNeighbors) {
   // Growing a group past its span capacity moves it to the slab tail;
   // every other group's membership must read back untouched.
   std::vector<Group> groups(3);
@@ -278,8 +215,6 @@ TEST(GroupTableCompaction, CompactReclaimsChurnGapsWithByteIdenticalViews) {
 }
 
 TEST(GroupTableCompaction, GraphCompactStorageIsThresholdGatedAndSafe) {
-  LayoutGuard guard;
-  set_default_group_layout(GroupLayout::soa);
   GroupGraph graph = build_pristine(1024, 31);
   // Freshly built: no dead slab words, so the gate keeps it a no-op.
   EXPECT_EQ(graph.compact_storage(), 0u);
@@ -288,12 +223,12 @@ TEST(GroupTableCompaction, GraphCompactStorageIsThresholdGatedAndSafe) {
   // opens, and compaction must be invisible to every observable.
   Rng churn_rng(5);
   (void)apply_good_departures(graph, 0.30, churn_rng);
-  const std::uint64_t print = fingerprint(graph);
+  const std::uint64_t print = graph.fingerprint();
   const std::size_t bytes_before = graph.memory_bytes();
   const std::size_t reclaimed = graph.compact_storage();
   EXPECT_GT(reclaimed, 0u);
   EXPECT_LT(graph.memory_bytes(), bytes_before);
-  EXPECT_EQ(fingerprint(graph), print);
+  EXPECT_EQ(graph.fingerprint(), print);
   EXPECT_EQ(graph.compact_storage(), 0u);
 }
 
@@ -305,12 +240,9 @@ namespace {
 
 // ---------- delivered traffic ----------
 
-TEST(LayoutEquivalence, ClientTrafficIdenticalAcrossLayoutsAndThreads) {
+TEST(EpochGolden, ClientTrafficOverPristineWorldsAtAnyShardWidth) {
   // The workload engine builds its worlds through GroupGraph::pristine,
-  // so a layout-dependent epoch would surface here as a diverging
-  // trace.  Sweep layout x shard width: all four runs must carry
-  // bit-identical traffic.
-  core::LayoutGuard guard;
+  // so an epoch change would surface here as a different trace.
   scenario::ScenarioSpec spec;
   spec.adversary = scenario::AdversaryKind::omit_ids;
   spec.topology = scenario::Topology::tinygroups;
@@ -326,24 +258,12 @@ TEST(LayoutEquivalence, ClientTrafficIdenticalAcrossLayoutsAndThreads) {
   spec.workload.rounds = 64;
   spec.workload.timeout_rounds = 24;
 
-  std::uint64_t expected_trace = 0;
-  std::uint64_t expected_completed = 0;
-  bool first = true;
-  core::for_each_layout([&](core::GroupLayout) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const workload::CellTraffic cell =
-          workload::run_traffic_cell(spec, /*with_adversary=*/true, threads);
-      if (first) {
-        expected_trace = cell.trace_hash;
-        expected_completed = cell.recorder.completed;
-        first = false;
-        continue;
-      }
-      EXPECT_EQ(cell.trace_hash, expected_trace);
-      EXPECT_EQ(cell.recorder.completed, expected_completed);
-    }
-  });
-  EXPECT_GT(expected_completed, 0u);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const workload::CellTraffic cell =
+        workload::run_traffic_cell(spec, /*with_adversary=*/true, threads);
+    EXPECT_EQ(cell.trace_hash, 0x653a03f2aabe410cULL) << threads;
+    EXPECT_EQ(cell.recorder.completed, 374u) << threads;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 // and the deterministic Monte-Carlo trial runner.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "sim/clock.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trial_runner.hpp"
@@ -93,9 +98,9 @@ TEST(TrialRunner, SeedChangesResults) {
 }
 
 TEST(TrialRunner, RepeatedRunsAreBitIdentical) {
-  // Shard-local accumulation merged in shard order: the result is a
-  // pure function of (seed, trials, threads), independent of worker
-  // scheduling, so repeated runs agree to the last bit.
+  // Per-trial values folded in trial order: the result is a pure
+  // function of (seed, trials), independent of worker scheduling, so
+  // repeated runs agree to the last bit.
   const auto trial = [](Rng& rng, std::size_t) {
     double acc = 0.0;
     for (int i = 0; i < 16; ++i) acc += rng.uniform();
@@ -122,6 +127,35 @@ TEST(TrialRunner, ThreadCountDoesNotChangeTheTrialSet) {
   EXPECT_DOUBLE_EQ(t1.min(), t8.min());
   EXPECT_DOUBLE_EQ(t1.max(), t8.max());
   EXPECT_NEAR(t1.mean(), t8.mean(), 1e-12);
+}
+
+TEST(TrialRunner, AggregatesAreBitIdenticalAtAnyThreadCount) {
+  // Trial values are kept by trial index and folded in trial order, so
+  // the float accumulation — mean and variance included — cannot depend
+  // on how trials were sharded across threads.
+  const auto trial = [](Rng& rng, std::size_t index,
+                        std::vector<double>& out) {
+    out[0] = rng.uniform() * 1e6;
+    out[1] = std::sqrt(static_cast<double>(index) + rng.uniform());
+  };
+  const auto bits = [](double v) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+  };
+  const auto reference = run_trials_multi(257, 2, 42, trial, 1);
+  for (const std::size_t threads : {std::size_t{3}, std::size_t{8}}) {
+    const auto stats = run_trials_multi(257, 2, 42, trial, threads);
+    for (std::size_t m = 0; m < 2; ++m) {
+      EXPECT_EQ(stats[m].count(), reference[m].count());
+      EXPECT_EQ(bits(stats[m].mean()), bits(reference[m].mean()))
+          << "threads " << threads << " metric " << m;
+      EXPECT_EQ(bits(stats[m].variance()), bits(reference[m].variance()))
+          << "threads " << threads << " metric " << m;
+      EXPECT_EQ(bits(stats[m].min()), bits(reference[m].min()));
+      EXPECT_EQ(bits(stats[m].max()), bits(reference[m].max()));
+    }
+  }
 }
 
 TEST(TrialRunner, MultiMetricVariant) {

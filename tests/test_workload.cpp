@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "dispatch_seams.hpp"
 #include "fault/fault_plan.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/scenario.hpp"
@@ -226,28 +227,36 @@ TEST(WorkloadEngine, ClosedLoopBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(t1.completed, 0u);
 }
 
-TEST(WorkloadEngine, StorageTogglesAreInvisibleInTraffic) {
-  // The engine inherits the net runtime's equivalence contract: the
-  // pooled and seed allocation paths carry byte-identical traffic.
+TEST(WorkloadEngine, RunSnapshotMatchesGoldenAtAnyWidthAndKernel) {
+  // One workload::run pinned end to end: world build, indexed route
+  // batches, pooled round loop and lifecycle counters.  Produced when
+  // the legacy epoch layout, storage paths and per-hop routing were
+  // retired, with every combination of them agreeing.
   const auto spec = small_traffic_spec(scenario::WorkloadAxis::Service::kv,
                                        scenario::WorkloadAxis::Loop::open);
-  Rng rng_a(31);
-  Rng rng_b(31);
-  const World world_a = workload::world_for_trial(spec, false, rng_a);
-  const World world_b = workload::world_for_trial(spec, false, rng_b);
-  const auto svc_a = workload::make_service(spec.workload.service, world_a,
-                                            128, rng_a());
-  const auto svc_b = workload::make_service(spec.workload.service, world_b,
-                                            128, rng_b());
-  workload::Spec pooled = workload::engine_spec(spec, false);
-  workload::Spec legacy = pooled;
-  legacy.recycle_buffers = false;
-  legacy.pool_payloads = false;
-  const auto a = workload::run(*svc_a, pooled, 77, 1);
-  const auto b = workload::run(*svc_b, legacy, 77, 1);
-  EXPECT_EQ(a.trace_hash, b.trace_hash);
-  EXPECT_EQ(a.recorder.completed, b.recorder.completed);
-  EXPECT_EQ(a.net.delivered, b.net.delivered);
+  const auto check = [&spec](std::size_t threads, int combo) {
+    Rng rng(spec.seed);
+    const World world = workload::world_for_trial(spec, false, rng);
+    const auto service =
+        workload::make_service(spec.workload.service, world, 128, rng());
+    const auto res = workload::run(*service, workload::engine_spec(spec, false),
+                                   rng(), threads);
+    SCOPED_TRACE("threads " + std::to_string(threads) + " kernels " +
+                 std::to_string(combo));
+    EXPECT_EQ(res.trace_hash, 0xf91d88ff32d83123ULL);
+    EXPECT_EQ(res.recorder.issued, 128u);
+    EXPECT_EQ(res.recorder.completed, 117u);
+    EXPECT_EQ(res.recorder.failed, 4u);
+    EXPECT_EQ(res.recorder.timed_out, 7u);
+    EXPECT_EQ(res.recorder.latency.p50(), 7u);
+    EXPECT_EQ(res.recorder.latency.p99(), 24u);
+    EXPECT_EQ(res.net.delivered, 866u);
+  };
+  for (const std::size_t threads : {std::size_t{3}, std::size_t{8}}) {
+    check(threads, 15);
+  }
+  crypto::seams::DispatchGuard guard;
+  crypto::seams::for_each_dispatch([&](int combo) { check(1, combo); });
 }
 
 TEST(WorkloadEngine, AdversaryCellTrafficBitIdenticalAcrossShardCounts) {
