@@ -1,4 +1,4 @@
-// Shared helpers for the experiment harness binaries.
+// Shared helpers for the benchmark binaries.
 //
 // Deliberately thin on includes: benches that need the full library
 // include the umbrella header themselves, so editing one subsystem
@@ -6,7 +6,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -16,27 +15,20 @@
 #include <utility>
 #include <vector>
 
-#include "core/params.hpp"
 #include "util/json_reporter.hpp"
 #include "util/rss.hpp"
 #include "util/timer.hpp"
 
 namespace tg::bench {
 
-/// Every bench announces itself the same way so the combined
-/// bench_output.txt reads as a lab notebook.
+/// Every bench announces itself the same way: what it runs and the
+/// claim its gates check.
 inline void banner(const std::string& experiment, const std::string& claim) {
   std::cout << "\n################################################################\n"
             << "# " << experiment << "\n"
             << "# Claim: " << claim << "\n"
             << "################################################################\n";
 }
-
-inline double log2d(std::size_t n) {
-  return std::log2(static_cast<double>(n));
-}
-inline double lnd(std::size_t n) { return std::log(static_cast<double>(n)); }
-inline double lnlnd(std::size_t n) { return core::Params::ln_ln(n); }
 
 // ---------------------------------------------------------------------------
 // Perf measurement + JSON reporting (the BENCH_*.json trajectory).
@@ -70,15 +62,11 @@ double measure_ns_per_op(F&& fn, double min_seconds = 0.1) {
   }
 }
 
-// JsonReporter (the BENCH_*.json writer) moved to
-// src/util/json_reporter.hpp so the scenario campaign engine can emit
-// the same schema; it is included above and unchanged in name/shape.
+// JsonReporter, the BENCH_*.json writer, is src/util/json_reporter.hpp
+// (shared with the scenario campaign engine).
 
-// ---------------------------------------------------------------------------
-// Peak-RSS sampling (the peak_rss_bytes rows of BENCH_scale.json).
-// Hoisted to src/util/rss.hpp so telemetry gauges and daemon code can
-// sample without bench headers; re-exported here for existing benches.
-// ---------------------------------------------------------------------------
+// Peak-RSS sampling (the peak_rss_bytes rows of BENCH_scale.json and
+// BENCH_telemetry.json's meta) lives in src/util/rss.hpp.
 
 using util::peak_rss_bytes;
 using util::reset_peak_rss;

@@ -2,7 +2,7 @@
 //
 // Runs a filtered slice of the scenario registry (the adversary x
 // topology matrix; see src/scenario/) and emits both a lab-notebook
-// table and BENCH_scenarios.json.  CI's campaign-smoke job runs
+// table and BENCH_scenarios.json.  CI's bench-gates job runs
 // `campaign --trials 2` over the full registry and validates the JSON.
 //
 //   campaign [--list] [--filter <substring|campaign>] [--trials N]

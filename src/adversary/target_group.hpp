@@ -2,7 +2,7 @@
 //
 // The classic join-leave attack concentrates adversarial nodes in one
 // victim group by re-joining until placements land there (this is what
-// breaks small groups under the cuckoo baselines, E10).  Under the
+// breaks small groups under the cuckoo baselines).  Under the
 // paper's PoW scheme the adversary CANNOT choose placements: each ID
 // costs a full puzzle solution and lands u.a.r. (Lemma 11 + the f∘g
 // composition), so stuffing a specific tiny group of size |G| requires

@@ -3,8 +3,8 @@
 // Every pre-2018 construction cited in Section I-B pays |G| ~ log n to
 // keep ALL groups good w.h.p. (epsilon = 1/poly(n)).  Re-running the
 // tiny-groups pipeline with that group size gives the apples-to-apples
-// cost comparison of Corollary 1 (bench E5): same topology, same
-// searches, only |G| differs.
+// cost comparison of Corollary 1 (checked in tests/test_integration.cpp):
+// same topology, same searches, only |G| differs.
 #pragma once
 
 #include "core/params.hpp"

@@ -5,8 +5,8 @@
 //
 // Mechanically this is the paper's own builder run in single-graph
 // mode (every dual search degenerates to one search, so one failure
-// suffices to corrupt a request).  This header packages it for the E4
-// ablation bench and tests.
+// suffices to corrupt a request).  This header packages it for the
+// dual-vs-single ablation tests.
 #pragma once
 
 #include "core/epoch_manager.hpp"

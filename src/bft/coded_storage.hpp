@@ -10,7 +10,7 @@
 // as |G| >= k + 2e.  Storage overhead drops from |G|x to |G|/k x while
 // keeping Byzantine tolerance e = floor((|G|-k)/2).
 //
-// The trade-off measured in bench_coded_storage: replication reads are
+// The trade-off tests/test_coded_storage.cpp checks: replication reads are
 // one round with majority filtering; coded reads must gather shares
 // (same round shape) but pay BW decoding CPU, and tolerate strictly
 // fewer liars when k is pushed high.  This mirrors the classic

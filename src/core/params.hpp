@@ -54,7 +54,7 @@ struct Params {
   std::uint64_t seed = 1;
 
   /// When nonzero, fixes the group size directly (used by the
-  /// Theta(log n) baseline and the group-size boundary sweep E9).
+  /// Theta(log n) baseline and the group-size knee tests).
   std::size_t group_size_override = 0;
 
   /// ln ln n, floored at a small positive value so tiny test sizes work.
@@ -70,7 +70,7 @@ struct Params {
 
   /// Baseline (prior work): odd-forced ceil(c ln n) for Theta(log n)
   /// groups; c chosen as 2.0 which keeps all groups good w.h.p. at
-  /// beta = 0.05 (verified by the E5 bench).
+  /// beta = 0.05 (the campaign's logn_groups cells run it).
   [[nodiscard]] std::size_t baseline_group_size() const noexcept;
 
   /// Threshold count of bad members above which a group is bad.

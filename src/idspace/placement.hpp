@@ -4,8 +4,7 @@
 // u.a.r. IDs" to a combinatorial property of the resulting placement:
 // every clockwise interval of length (lambda ln m)/m contains between
 // (lambda/2) ln m and (3 lambda/2) ln m IDs, w.h.p. regardless of the
-// omitted subset.  These checks power the E12 bench and the Lemma 5
-// property tests.
+// omitted subset.  These checks power the Lemma 5 tests.
 #pragma once
 
 #include <cstddef>

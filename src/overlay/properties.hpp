@@ -1,6 +1,6 @@
 // Empirical estimators for properties P1-P4 of an input graph
-// (Section I-C).  Used by unit tests (to certify each overlay) and by
-// the E12 bench (reporting the measured constants).
+// (Section I-C).  Used by unit tests to certify each overlay and to
+// check that subset omission leaves them intact (Lemma 5).
 #pragma once
 
 #include <cstddef>

@@ -20,8 +20,8 @@
 // docs/DEVIATIONS.md#id-generation-slack.
 //
 // The simulation measures exactly the lemma's two claims: the COUNT
-// of adversarial IDs per window and their DISTRIBUTION (KS-tested by
-// the E6 bench).
+// of adversarial IDs per window and their DISTRIBUTION (KS-tested in
+// tests/test_pow.cpp).
 #pragma once
 
 #include <cstdint>

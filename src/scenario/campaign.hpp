@@ -7,7 +7,7 @@
 // output is bit-identical across machines and thread counts.  Reporting: one JSON row per
 // (scenario, metric) in the tg::bench::JsonReporter schema, written as
 // BENCH_scenarios.json (documented in bench/README.md; consumed by
-// CI's campaign-smoke job).
+// CI's bench-gates job).
 #pragma once
 
 #include <iosfwd>

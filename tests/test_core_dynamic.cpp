@@ -138,6 +138,26 @@ TEST(EpochManager, SingleGraphDegradesFasterThanDual) {
             dual.back().search_success + 0.02);
 }
 
+TEST(EpochManager, PipelineCascadesBelowTheGroupSizeKnee) {
+  // Section I-D's knee, dynamic side: below d1 ln ln n the confusion
+  // recurrence q_f^2 R D^2 > q_f takes over and red groups compound
+  // across epochs; at the default size the pipeline stays robust.  At
+  // n = 1024 the red fraction after 4 epochs reads 1.0 at |G| = 7 and
+  // 0.0 at the default |G| = 25.
+  const auto red_after_four_epochs = [](std::size_t group_size) {
+    Params p;
+    p.n = 1024;
+    p.beta = 0.05;
+    p.seed = 77;
+    p.group_size_override = group_size;  // 0 = the default size
+    EpochManager mgr(p);
+    Rng rng(p.seed + group_size);
+    return mgr.run(4, 4000, rng).back().red_fraction_g1;
+  };
+  EXPECT_GT(red_after_four_epochs(7), 0.5);
+  EXPECT_LT(red_after_four_epochs(0), 0.05);
+}
+
 TEST(Churn, MajorityRetainedUnderBound) {
   const auto p = small_params(1024);
   EpochBuilder builder(p);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "core/group_graph.hpp"
 #include "core/robustness.hpp"
@@ -165,6 +166,36 @@ TEST(GroupGraph, RedFractionSmallAtDefaultParams) {
   EXPECT_LT(f.graph->red_fraction(), 0.01);
   EXPECT_EQ(f.graph->confused_fraction(), 0.0);
   EXPECT_LE(f.graph->majority_bad_fraction(), f.graph->red_fraction() + 1e-9);
+}
+
+TEST(GroupGraph, RedFractionFallsAsGroupSizeGrows) {
+  // Section I-D's knee, static side: the red fraction falls as |G|
+  // grows toward d1 ln ln n, and only near the default size does
+  // search success reach 1 - eps.  At n = 1024, beta = 0.05 the sweep
+  // reads red = 0.0176, 0.0078, 0.0020, 0, 0 and success 0.891 at
+  // |G| = 5, 1.0 at the default |G| = 25.
+  constexpr double kEpsilon = 0.01;
+  std::vector<double> red, success;
+  for (const std::size_t g : {5u, 9u, 13u, 17u, 0u}) {  // 0 = default size
+    Params p;
+    p.n = 1024;
+    p.beta = 0.05;
+    p.seed = 1234;
+    p.group_size_override = g;
+    Rng rng(p.seed + g);
+    auto pop = std::make_shared<const Population>(
+        Population::uniform(p.n, p.beta, rng));
+    const crypto::OracleSuite oracles(p.seed);
+    const auto graph = GroupGraph::pristine(p, pop, oracles.h1);
+    red.push_back(graph.red_fraction());
+    success.push_back(measure_robustness(graph, 15000, rng).search_success);
+  }
+  for (std::size_t i = 1; i < red.size(); ++i) {
+    EXPECT_LE(red[i], red[i - 1]) << "sweep step " << i;
+  }
+  EXPECT_GT(red.front(), 0.01);
+  EXPECT_LT(success.front(), 1.0 - kEpsilon);
+  EXPECT_GE(success.back(), 1.0 - kEpsilon);
 }
 
 TEST(GroupGraph, SyntheticMarkingOverridesComposition) {

@@ -268,7 +268,8 @@ TEST(Storage, HandoffRetainsItems) {
   core::Params p;
   // n = 1024 is the smallest size comfortably inside the dynamic
   // pipeline's stability region at beta = 0.05 ("sufficiently large
-  // n"); n = 512 sits below the knee the E9 bench maps out.
+  // n"); at n = 512 the default-size pipeline cascades, as |G| = 7
+  // does at n = 1024 in EpochManager.PipelineCascadesBelowTheGroupSizeKnee.
   p.n = 1024;
   p.beta = 0.05;
   p.seed = 15;

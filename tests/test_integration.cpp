@@ -190,5 +190,50 @@ TEST(Integration, StateCostScalesWithGroupSizeNotN) {
   EXPECT_LT(sb.member_links.mean(), 1.6 * sa.member_links.mean());
 }
 
+TEST(Integration, LognGroupsCostMoreAndTheGapWidensWithN) {
+  // Corollary 1, measured on chord with identical topology and
+  // searches: Theta(log n) groups pay more than tiny groups for
+  // intra-group messages, per-search routing messages and per-ID
+  // state, and the gap widens with n.  The log-n/tiny ratios read
+  // 1.34, 1.33, 1.28 at n = 2^10 and 1.82, 1.81, 1.66 at n = 2^14.
+  struct Costs {
+    double group_comm, routing, state;
+  };
+  const auto measure = [](const core::Params& p, std::uint64_t seed) {
+    Rng rng(seed);
+    auto pop = std::make_shared<const core::Population>(
+        core::Population::uniform(p.n, p.beta, rng));
+    const crypto::OracleSuite oracles(seed);
+    const auto graph = core::GroupGraph::pristine(p, pop, oracles.h1);
+    RunningStats comm;
+    for (std::size_t i = 0; i < std::min<std::size_t>(graph.size(), 512); ++i) {
+      comm.add(static_cast<double>(graph.intra_group_messages(i)));
+    }
+    const auto state = core::measure_state_cost(graph);
+    return Costs{comm.mean(),
+                 core::measure_robustness(graph, 4000, rng).messages.mean(),
+                 state.member_links.mean() + state.neighbor_links.mean()};
+  };
+  const auto ratios = [&](std::size_t n) {
+    core::Params tiny;
+    tiny.n = n;
+    tiny.beta = 0.05;
+    tiny.overlay_kind = overlay::Kind::chord;
+    tiny.seed = 97 + n;
+    const Costs a = measure(tiny, tiny.seed);
+    const Costs b = measure(baseline::logn_baseline(tiny), tiny.seed);
+    return Costs{b.group_comm / a.group_comm, b.routing / a.routing,
+                 b.state / a.state};
+  };
+  const Costs small = ratios(std::size_t{1} << 10);
+  const Costs large = ratios(std::size_t{1} << 14);
+  EXPECT_GT(small.group_comm, 1.0);
+  EXPECT_GT(small.routing, 1.0);
+  EXPECT_GT(small.state, 1.0);
+  EXPECT_GT(large.group_comm, small.group_comm);
+  EXPECT_GT(large.routing, small.routing);
+  EXPECT_GT(large.state, small.state);
+}
+
 }  // namespace
 }  // namespace tg

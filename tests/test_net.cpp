@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "net/mailbox.hpp"
 #include "net/network.hpp"
@@ -517,6 +519,28 @@ TEST(RelayChain, MajorityByzantineGroupCorrupts) {
   cfg.bad_per_group = 5;  // majority bad in EVERY group
   const auto run = run_relay_chain(cfg);
   EXPECT_FALSE(run.delivered);
+}
+
+TEST(RelayChain, ExecutedDeliveryMatchesTheAnalyticBoundary) {
+  // docs/DEVIATIONS.md#analytic-messages: the analytic model counts a
+  // chain of all-to-all majority relays as delivered exactly when
+  // 2 * bad < |G| in every group.  Executed with real messages, the
+  // relay draws the same boundary on every seed.
+  for (const auto& [group_size, bad] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {9, 0}, {9, 3}, {9, 4}, {9, 5}, {13, 6}, {13, 7}}) {
+    std::size_t delivered = 0;
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      RelayConfig cfg;
+      cfg.chain_length = 6;
+      cfg.group_size = group_size;
+      cfg.bad_per_group = bad;
+      cfg.seed = seed;
+      delivered += run_relay_chain(cfg).delivered ? 1 : 0;
+    }
+    EXPECT_EQ(delivered, 2 * bad < group_size ? 100u : 0u)
+        << "|G| = " << group_size << ", bad = " << bad;
+  }
 }
 
 TEST(RelayChain, SurvivesBoundedDelay) {

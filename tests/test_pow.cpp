@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "adversary/late_release.hpp"
 #include "dispatch_seams.hpp"
 #include "pow/epoch_string.hpp"
 #include "pow/gossip.hpp"
@@ -12,6 +15,7 @@
 #include "pow/puzzle.hpp"
 #include "pow/verification.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tg::pow {
 namespace {
@@ -310,6 +314,51 @@ TEST(Gossip, LateReleaseAbsorbedByPhase3) {
   // disagreement: whoever selected them still has Phase 3 to flood.
   EXPECT_TRUE(out.agreement);
   EXPECT_LT(out.global_minimum, 1e-11);
+}
+
+/// Lemma 12's protocol at n = 512 under `strings` worst-case late
+/// releases at the last step of Phase 2; `phase3_steps` = 0 runs the
+/// default d' ln n Phase-3 steps.
+bool late_release_agreement(std::uint64_t seed, std::size_t strings,
+                            std::size_t phase3_steps) {
+  constexpr std::size_t n = 512;
+  Rng rng(seed);
+  const auto adj = make_gossip_topology(n, 8, rng);
+  GossipParams params;
+  params.nodes = n;
+  params.phase3_steps = phase3_steps;
+  const auto phase2 = static_cast<std::size_t>(
+      std::ceil(params.d_prime * std::log(static_cast<double>(n))));
+  const auto attacks =
+      adversary::worst_case_late_release(strings, n, phase2, 1e-9, rng);
+  return run_string_protocol(adj, params, attacks, rng).agreement;
+}
+
+TEST(Gossip, AgreementUnderLateReleaseNeedsPhase3) {
+  // The Phase-3 ablation: with the default d' ln n Phase-3 steps, 6
+  // late strings never break agreement; with one step they did on all
+  // 20 seeds, so the ablated arm stops at its first failure.  The
+  // default arm's seeds are independent and run on the pool.
+  std::vector<std::uint8_t> agreed(20, 0);
+  ThreadPool::global().parallel_for(agreed.size(), [&](std::size_t i) {
+    agreed[i] = late_release_agreement(9000 + i, 6, /*phase3_steps=*/0);
+  });
+  for (std::size_t i = 0; i < agreed.size(); ++i) {
+    EXPECT_TRUE(agreed[i]) << "seed " << 9000 + i;
+  }
+  bool ablated_failed = false;
+  for (std::uint64_t seed = 9000; seed < 9020 && !ablated_failed; ++seed) {
+    ablated_failed = !late_release_agreement(seed, 6, 1);
+  }
+  EXPECT_TRUE(ablated_failed);
+}
+
+TEST(Gossip, LateReleaseBeyondComputeBudgetBreaksAgreement) {
+  // Lemma 12 needs c0, d0 >= d'': 16 minimal strings exceed the
+  // d0 ln n ~ 12.5 solution-set budget at n = 512, and agreement fails
+  // even with Phase 3 (measured over 3 seeds each: 13 or more strings
+  // always fail, 12 always hold).
+  EXPECT_FALSE(late_release_agreement(7793, 16, /*phase3_steps=*/0));
 }
 
 TEST(Gossip, MessageBoundIsNearLinear) {
