@@ -1,7 +1,7 @@
 // Appendix VIII, executed: min-flood gossip of lottery strings over
 // the message-passing runtime.
 //
-// The analytic model (pow/gossip.hpp) simulates the bins/counters
+// The analytic model (pow/gossip.hpp) simulates the bin-table
 // protocol at step granularity; this module runs the essential
 // mechanism — flood the record-breaking minimum, throttled by a
 // per-node forward budget — as real actors, so the Lemma 12 claims

@@ -2,35 +2,40 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+
+#include "util/thread_pool.hpp"
 
 namespace tg::pow {
 
 std::vector<std::vector<std::uint32_t>> make_gossip_topology(
     std::size_t nodes, std::size_t degree, Rng& rng) {
-  std::vector<std::unordered_set<std::uint32_t>> adj(nodes);
   if (nodes < 2) return {nodes, std::vector<std::uint32_t>{}};
+  // A node has at most nodes - 1 peers; a larger degree is never met.
+  degree = std::min(degree, nodes - 1);
+  std::vector<std::vector<std::uint32_t>> adj(nodes);
+  // Links are always added in both directions, so one membership test
+  // covers both lists.
+  const auto link = [&adj](std::uint32_t a, std::uint32_t b) {
+    auto& row = adj[a];
+    const auto at = std::lower_bound(row.begin(), row.end(), b);
+    if (at != row.end() && *at == b) return;
+    row.insert(at, b);
+    auto& back = adj[b];
+    back.insert(std::lower_bound(back.begin(), back.end(), a), a);
+  };
   // Ring backbone guarantees connectivity; random chords give the
   // expander-like expansion that keeps the diameter O(log n).
   for (std::uint32_t i = 0; i < nodes; ++i) {
-    const auto next = static_cast<std::uint32_t>((i + 1) % nodes);
-    adj[i].insert(next);
-    adj[next].insert(i);
+    link(i, static_cast<std::uint32_t>((i + 1) % nodes));
   }
   for (std::uint32_t i = 0; i < nodes; ++i) {
     while (adj[i].size() < degree) {
       const auto peer = static_cast<std::uint32_t>(rng.below(nodes));
       if (peer == i) continue;
-      adj[i].insert(peer);
-      adj[peer].insert(i);
+      link(i, peer);
     }
   }
-  std::vector<std::vector<std::uint32_t>> out(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    out[i].assign(adj[i].begin(), adj[i].end());
-    std::sort(out[i].begin(), out[i].end());
-  }
-  return out;
+  return adj;
 }
 
 GossipOutcome run_string_protocol(
@@ -54,78 +59,86 @@ GossipOutcome run_string_protocol(
   const auto bins = static_cast<std::size_t>(std::ceil(
       params.b * std::log(static_cast<double>(n) *
                           static_cast<double>(params.epoch_T))));
+  const std::size_t total_steps = phase2 + phase3;
+  std::size_t released = 0;
+  for (const LateRelease& atk : attacks) {
+    released += atk.release_step < total_steps && atk.at_node < n;
+  }
+  BinTables tables(n, bins, counter_cap, n + released);
 
   // ---- Phase 1: local generation.  The minimum of A uniforms has
-  // CDF 1-(1-x)^A; inverse-sample it per node.
-  std::uint32_t uid = 0;
-  std::vector<BinTable> tables(n, BinTable(bins, counter_cap));
-  std::vector<LotteryString> own_min(n);
+  // CDF 1-(1-x)^A; inverse-sample it per node.  Node i's string gets
+  // uid i.
   for (std::size_t i = 0; i < n; ++i) {
     const double u = rng.uniform();
     const double x = 1.0 - std::pow(1.0 - u,
                                     1.0 / static_cast<double>(
                                               params.phase1_attempts));
-    own_min[i] = LotteryString{x, static_cast<std::uint32_t>(i), uid++};
+    (void)tables.add(x, static_cast<std::uint32_t>(i));
   }
 
-  // ---- Phases 2+3: synchronous flooding with bin/counter filtering.
-  // outbox[i] = strings node i accepted this step (to deliver next step).
-  std::vector<std::vector<LotteryString>> outbox(n), next_outbox(n);
+  // ---- Phases 2+3: synchronous flooding with bin filtering.
+  // outbox[i] = uids node i accepted this step (to deliver next step).
+  std::vector<std::vector<std::uint32_t>> outbox(n), next_outbox(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (tables[i].accept(own_min[i])) outbox[i].push_back(own_min[i]);
+    const auto uid = static_cast<std::uint32_t>(i);
+    if (tables.accept(i, uid)) outbox[i].push_back(uid);
   }
 
   std::vector<LotteryString> selected(n);  // s^{i*}: chosen at end of Phase 2
-  const std::size_t total_steps = phase2 + phase3;
   for (std::size_t step = 0; step < total_steps; ++step) {
     // Adversarial injections scheduled for this step.
     for (const LateRelease& atk : attacks) {
       if (atk.release_step == step && atk.at_node < n) {
-        const LotteryString s{atk.output, atk.at_node, uid++};
-        if (tables[atk.at_node].accept(s)) outbox[atk.at_node].push_back(s);
+        const std::uint32_t uid = tables.add(atk.output, atk.at_node);
+        if (tables.accept(atk.at_node, uid)) outbox[atk.at_node].push_back(uid);
       }
     }
-    for (std::size_t i = 0; i < n; ++i) next_outbox[i].clear();
     for (std::size_t i = 0; i < n; ++i) {
-      if (outbox[i].empty()) continue;
-      for (const auto nb : adjacency[i]) {
-        for (const LotteryString& s : outbox[i]) {
-          ++out.forward_events;
-          if (tables[nb].accept(s)) next_outbox[nb].push_back(s);
+      out.forward_events += outbox[i].size() * adjacency[i].size();
+    }
+    // Receiver pull.  On a symmetric adjacency the senders that reach
+    // r are exactly r's neighbours; reading them in ascending order,
+    // each outbox in order, replays the order in which a sender-major
+    // push loop would deliver to r.  A receiver writes only its own
+    // bins and outbox, so receivers run in parallel and the result is
+    // independent of scheduling.
+    ThreadPool::global().parallel_for(n, [&](std::size_t r) {
+      auto& accepted = next_outbox[r];
+      accepted.clear();
+      for (const std::uint32_t sender : adjacency[r]) {
+        for (const std::uint32_t uid : outbox[sender]) {
+          if (tables.accept(r, uid)) accepted.push_back(uid);
         }
       }
-    }
+    });
     std::swap(outbox, next_outbox);
     if (step + 1 == phase2) {
       // End of Phase 2: every node selects its current minimum.
       for (std::size_t i = 0; i < n; ++i) {
-        selected[i] = tables[i].minimum().value_or(own_min[i]);
+        selected[i] = tables.minimum(i).value_or(
+            tables.string(static_cast<std::uint32_t>(i)));
       }
     }
   }
   out.steps_run = total_steps;
 
-  // ---- Evaluation (Lemma 12).
+  // ---- Evaluation (Lemma 12).  holders[uid] counts the solution sets
+  // that hold uid; a set never holds a uid twice.
   double sum_sizes = 0.0;
-  std::vector<std::unordered_set<std::uint32_t>> rset_uids(n);
+  std::vector<std::size_t> holders(tables.size(), 0);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto rset = tables[i].solution_set(rset_size);
+    const auto rset = tables.solution_set(i, rset_size);
     sum_sizes += static_cast<double>(rset.size());
     out.max_solution_set = std::max(out.max_solution_set, rset.size());
-    auto& set = rset_uids[i];
-    set.reserve(rset.size());
-    for (const auto& s : rset) set.insert(s.uid);
+    for (const auto& s : rset) ++holders[s.uid];
   }
   out.mean_solution_set = sum_sizes / static_cast<double>(n);
 
+  // global_minimum covers the nodes up to the first disagreement.
   for (std::size_t i = 0; i < n && out.agreement; ++i) {
     out.global_minimum = std::min(out.global_minimum, selected[i].output);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!rset_uids[j].contains(selected[i].uid)) {
-        out.agreement = false;
-        break;
-      }
-    }
+    out.agreement = holders[selected[i].uid] == n;
   }
   return out;
 }

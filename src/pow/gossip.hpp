@@ -3,8 +3,8 @@
 // Synchronous gossip over the giant component of good groups:
 //   Phase 1  — nodes generate strings locally (modelled by drawing
 //              each node's minimum output: min of A uniforms),
-//   Phase 2  — d' ln n steps: everyone floods its minimum; bins and
-//              counters throttle forwarding,
+//   Phase 2  — d' ln n steps: everyone floods its minimum; a node
+//              forwards only strings that enter its bins,
 //   Phase 3  — d' ln n more steps: no new generation, propagation
 //              continues (this is what defeats the late-release
 //              attack: anything a node selected by the end of Phase 2
@@ -57,13 +57,19 @@ struct GossipOutcome {
 };
 
 /// Run the protocol on an explicit adjacency (the giant component).
+/// The adjacency must be symmetric with every list sorted ascending
+/// and free of duplicates, as make_gossip_topology returns it: each
+/// step then runs receiver by receiver on ThreadPool::global(), and
+/// every outcome is independent of the pool width.
 [[nodiscard]] GossipOutcome run_string_protocol(
     const std::vector<std::vector<std::uint32_t>>& adjacency,
     const GossipParams& params, const std::vector<LateRelease>& attacks,
     Rng& rng);
 
 /// Convenience: a connected random d-regular-ish gossip topology
-/// standing in for the giant component of blue groups.
+/// standing in for the giant component of blue groups.  Every node
+/// gets at least min(degree, nodes - 1) neighbours; each list is
+/// sorted ascending.
 [[nodiscard]] std::vector<std::vector<std::uint32_t>> make_gossip_topology(
     std::size_t nodes, std::size_t degree, Rng& rng);
 

@@ -149,10 +149,11 @@ TEST(Integration, CredentialLifecycleAcrossEpochs) {
   ASSERT_TRUE(epoch_i.agreement);
 
   // Reconstruct a solution set holding the epoch's winning string.
-  pow::BinTable table(40, 100);
-  const pow::LotteryString winner{epoch_i.global_minimum, 0, 7777};
-  ASSERT_TRUE(table.accept(winner));
-  const auto r_set = table.solution_set(8);
+  pow::BinTables table(1, 40, 100, 1);
+  const pow::LotteryString winner =
+      table.string(table.add(epoch_i.global_minimum, 0));
+  ASSERT_TRUE(table.accept(0, winner.uid));
+  const auto r_set = table.solution_set(0, 8);
 
   const pow::PuzzleSolver solver(oracles.f, oracles.g);
   const std::uint64_t tau = pow::tau_for_expected_attempts(100.0);
@@ -166,9 +167,9 @@ TEST(Integration, CredentialLifecycleAcrossEpochs) {
   // Next epoch: fresh lottery, fresh solution sets; the old credential
   // is rejected (ID expiry, Section IV-A).
   const auto epoch_next = pow::run_string_protocol(adj, gp, {}, rng);
-  pow::BinTable next_table(40, 100);
-  next_table.accept({epoch_next.global_minimum, 1, 8888});
-  EXPECT_FALSE(pow::verify_credential(cred, next_table.solution_set(8)));
+  pow::BinTables next_table(1, 40, 100, 1);
+  (void)next_table.accept(0, next_table.add(epoch_next.global_minimum, 1));
+  EXPECT_FALSE(pow::verify_credential(cred, next_table.solution_set(0, 8)));
 }
 
 TEST(Integration, StateCostScalesWithGroupSizeNotN) {

@@ -1,10 +1,13 @@
 // Tests for the PoW machinery (Section IV): puzzles, ID generation
-// (Lemma 11), bins/counters, the string gossip protocol (Lemma 12),
+// (Lemma 11), bin tables, the string gossip protocol (Lemma 12),
 // and ID credential verification.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <bit>
 #include <cstdint>
+#include <ostream>
+#include <stdexcept>
 #include <vector>
 
 #include "adversary/late_release.hpp"
@@ -209,7 +212,7 @@ TEST(IdGeneration, RealBatchEndToEnd) {
   EXPECT_LT(low, 10u);
 }
 
-// --- Bins and counters ---
+// --- Bin tables ---
 
 TEST(Bins, BinOfBoundaries) {
   EXPECT_EQ(bin_of(0.6, 40), 1u);     // [1/2, 1)
@@ -220,50 +223,66 @@ TEST(Bins, BinOfBoundaries) {
   EXPECT_EQ(bin_of(0.0, 40), 40u);
 }
 
-TEST(BinTable, RetainsBoundedMinSetPerBin) {
-  BinTable table(10, 2);
-  EXPECT_TRUE(table.accept({0.6, 0, 1}));
-  EXPECT_TRUE(table.accept({0.7, 0, 2}));   // bin not full yet
-  EXPECT_FALSE(table.accept({0.8, 0, 3}));  // full, and larger than max
-  EXPECT_TRUE(table.accept({0.55, 0, 4}));  // evicts 0.7
-  EXPECT_FALSE(table.accept({0.55, 0, 4})); // duplicate delivery ignored
-  EXPECT_TRUE(table.accept({0.3, 0, 5}));   // different bin
-  EXPECT_EQ(table.minimum().value().output, 0.3);
+TEST(BinTables, RetainsBoundedMinSetPerBin) {
+  BinTables table(1, 10, 2, 5);
+  const auto a = table.add(0.6, 0), b = table.add(0.7, 0),
+             c = table.add(0.8, 0), d = table.add(0.55, 0),
+             e = table.add(0.3, 0);
+  EXPECT_TRUE(table.accept(0, a));
+  EXPECT_TRUE(table.accept(0, b));   // bin not full yet
+  EXPECT_FALSE(table.accept(0, c));  // full, and larger than max
+  EXPECT_TRUE(table.accept(0, d));   // evicts 0.7
+  EXPECT_FALSE(table.accept(0, d));  // duplicate delivery ignored
+  EXPECT_TRUE(table.accept(0, e));   // different bin
+  EXPECT_EQ(table.minimum(0).value().output, 0.3);
+  EXPECT_THROW((void)table.add(0.1, 0), std::length_error);
 }
 
-TEST(BinTable, SpamCannotEvictSmallStrings) {
-  BinTable table(10, 3);
-  ASSERT_TRUE(table.accept({0.51, 0, 1}));  // the genuine minimum of bin 1
+TEST(BinTables, SpamCannotEvictSmallStrings) {
+  BinTables table(1, 10, 3, 21);
+  const auto genuine = table.add(0.51, 0);  // the genuine minimum of bin 1
+  ASSERT_TRUE(table.accept(0, genuine));
   // Adversarial spam of larger same-bin strings.
-  std::uint32_t uid = 10;
   int accepted = 0;
   for (int i = 0; i < 20; ++i) {
-    accepted += table.accept({0.9 - 0.001 * i, 0, uid++});
+    accepted += table.accept(0, table.add(0.9 - 0.001 * i, 0));
   }
   EXPECT_LE(accepted, 20);
   // The minimum survives regardless of spam volume.
-  EXPECT_EQ(table.minimum().value().uid, 1u);
-  const auto rset = table.solution_set(1);
+  EXPECT_EQ(table.minimum(0).value().uid, genuine);
+  const auto rset = table.solution_set(0, 1);
   ASSERT_EQ(rset.size(), 1u);
-  EXPECT_EQ(rset[0].uid, 1u);
+  EXPECT_EQ(rset[0].uid, genuine);
 }
 
-TEST(BinTable, SolutionSetCollectsSmallestFirst) {
-  BinTable table(20, 100);
-  table.accept({0.6, 0, 1});
-  table.accept({0.3, 0, 2});
-  table.accept({0.01, 0, 3});
-  table.accept({0.001, 0, 4});
-  const auto rset = table.solution_set(3);
+TEST(BinTables, SolutionSetCollectsSmallestFirst) {
+  BinTables table(1, 20, 100, 4);
+  std::vector<std::uint32_t> uid;
+  for (const double x : {0.6, 0.3, 0.01, 0.001}) {
+    uid.push_back(table.add(x, 0));
+    (void)table.accept(0, uid.back());
+  }
+  const auto rset = table.solution_set(0, 3);
   ASSERT_EQ(rset.size(), 3u);
-  EXPECT_EQ(rset[0].uid, 4u);  // smallest output first
-  EXPECT_EQ(rset[1].uid, 3u);
-  EXPECT_EQ(rset[2].uid, 2u);
+  EXPECT_EQ(rset[0].uid, uid[3]);  // smallest output first
+  EXPECT_EQ(rset[1].uid, uid[2]);
+  EXPECT_EQ(rset[2].uid, uid[1]);
 }
 
-TEST(BinTable, MinimumEmptyIsNull) {
-  BinTable table(5, 5);
-  EXPECT_FALSE(table.minimum().has_value());
+TEST(BinTables, MinimumEmptyIsNull) {
+  BinTables table(1, 5, 5, 0);
+  EXPECT_FALSE(table.minimum(0).has_value());
+}
+
+TEST(BinTables, NodesKeepSeparateBins) {
+  BinTables table(2, 10, 1, 2);
+  const auto big = table.add(0.7, 0), small = table.add(0.6, 1);
+  EXPECT_TRUE(table.accept(0, big));
+  EXPECT_TRUE(table.accept(1, small));
+  EXPECT_TRUE(table.accept(0, small));  // evicts 0.7 at node 0 only
+  EXPECT_FALSE(table.accept(1, big));   // node 1's bin is full of 0.6
+  EXPECT_EQ(table.minimum(0).value().uid, small);
+  EXPECT_EQ(table.solution_set(1, 5).size(), 1u);
 }
 
 // --- Gossip protocol (Lemma 12) ---
@@ -279,6 +298,155 @@ TEST(Gossip, TopologyIsConnectedAndSymmetric) {
       EXPECT_NE(std::find(back.begin(), back.end(),
                           static_cast<std::uint32_t>(i)),
                 back.end());
+    }
+  }
+}
+
+/// Every GossipOutcome field (doubles by their bits), a hash of the
+/// topology, and the RNG's next draw after the run.
+struct LotteryFingerprint {
+  bool agreement = false;
+  std::uint64_t mean_solution_set_bits = 0;
+  std::size_t max_solution_set = 0;
+  std::uint64_t forward_events = 0;
+  std::size_t steps_run = 0;
+  std::uint64_t global_minimum_bits = 0;
+  std::uint64_t topology_hash = 0;
+  std::uint64_t next_draw = 0;
+  friend bool operator==(const LotteryFingerprint&,
+                         const LotteryFingerprint&) = default;
+  friend std::ostream& operator<<(std::ostream& os,
+                                  const LotteryFingerprint& f) {
+    return os << std::hex << "{" << f.agreement << ", 0x"
+              << f.mean_solution_set_bits << ", " << std::dec
+              << f.max_solution_set << ", " << f.forward_events << ", "
+              << f.steps_run << ", 0x" << std::hex << f.global_minimum_bits
+              << ", 0x" << f.topology_hash << ", 0x" << f.next_draw << "}"
+              << std::dec;
+  }
+};
+
+struct LotteryCase {
+  const char* name;
+  std::uint64_t seed;
+  std::size_t n, degree;
+  std::uint64_t phase1_attempts;
+  std::size_t phase3_steps;    ///< 0 = default d' ln n
+  std::size_t late_strings;    ///< worst_case_late_release count
+  bool twin_attack;            ///< fixed schedule: two strings at node 5
+  LotteryFingerprint want;
+};
+
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+LotteryFingerprint run_lottery_case(const LotteryCase& c) {
+  Rng rng(c.seed);
+  const auto adj = make_gossip_topology(c.n, c.degree, rng);
+  LotteryFingerprint f;
+  f.topology_hash = fnv_mix(0xcbf29ce484222325ULL, adj.size());
+  for (const auto& row : adj) {
+    f.topology_hash = fnv_mix(f.topology_hash, row.size());
+    for (const auto v : row) f.topology_hash = fnv_mix(f.topology_hash, v);
+  }
+  GossipParams params;
+  params.nodes = c.n;
+  params.phase1_attempts = c.phase1_attempts;
+  params.phase3_steps = c.phase3_steps;
+  const auto phase2 = static_cast<std::size_t>(
+      std::ceil(params.d_prime * std::log(static_cast<double>(c.n))));
+  std::vector<LateRelease> attacks;
+  if (c.late_strings) {
+    attacks = adversary::worst_case_late_release(c.late_strings, c.n, phase2,
+                                                 1e-9, rng);
+  }
+  if (c.twin_attack) {
+    // Two strings released at one node in one step, one more there
+    // earlier, one at a node that does not exist and one after the
+    // last step (the last two are never injected and take no uid).
+    const auto ghost = static_cast<std::uint32_t>(c.n + 3);
+    attacks = {{1e-12, phase2 - 1, 5}, {3e-13, phase2 - 1, 5},
+               {1e-13, phase2 - 1, ghost}, {1e-14, 1000, 5},
+               {2e-12, 2, 5}};
+  }
+  const GossipOutcome o = run_string_protocol(adj, params, attacks, rng);
+  f.agreement = o.agreement;
+  f.mean_solution_set_bits = std::bit_cast<std::uint64_t>(o.mean_solution_set);
+  f.max_solution_set = o.max_solution_set;
+  f.forward_events = o.forward_events;
+  f.steps_run = o.steps_run;
+  f.global_minimum_bits = std::bit_cast<std::uint64_t>(o.global_minimum);
+  f.next_draw = rng.u64();
+  return f;
+}
+
+// Computed with the sender-push loop over per-node bins that
+// deduplicated by scanning, which the receiver-pull loop replaced.
+// n512_phase3_1 and n512_16strings fail agreement, so their
+// global_minimum stops at the first node whose selection is missing
+// somewhere.
+const std::vector<LotteryCase>& lottery_golden_cases() {
+  static const std::vector<LotteryCase> cases = {
+      {"n7", 1, 7, 3, 1 << 16, 0, 0, false,
+       {true, 0x4010000000000000ULL, 4, 168ULL, 8,
+        0x3eb2ddafd0400000ULL, 0xd88b97007e549405ULL, 0xeeca3115e23bc8f1ULL}},
+      {"n7_late", 2, 7, 3, 1 << 16, 0, 2, false,
+       {true, 0x4010000000000000ULL, 4, 216ULL, 8,
+        0x3db6e80fe033c8c7ULL, 0x945274470dd6bfe1ULL, 0xab2971ce254d38f4ULL}},
+      {"n512", 11, 512, 8, 1 << 16, 0, 0, false,
+       {true, 0x402a000000000000ULL, 13, 1715132ULL, 26,
+        0x3e44ea8264000000ULL, 0x9964a22f454492a6ULL, 0xdef0076b8e9c8a8cULL}},
+      {"n512_late6", 9000, 512, 8, 1 << 16, 0, 6, false,
+       {true, 0x402a000000000000ULL, 13, 1715125ULL, 26,
+        0x3da3a256c02c62f3ULL, 0xd7603d7e881d6c50ULL, 0xc3e25fd832ce1654ULL}},
+      {"n512_phase3_1", 9000, 512, 8, 1 << 16, 1, 6, false,
+       {false, 0x402a000000000000ULL, 13, 1686001ULL, 14,
+        0x3db12e0be826d695ULL, 0xd7603d7e881d6c50ULL, 0xc3e25fd832ce1654ULL}},
+      {"n512_16strings", 7793, 512, 8, 1 << 16, 0, 16, false,
+       {false, 0x402a000000000000ULL, 13, 1777857ULL, 26,
+        0x3d92533fe68fd3d2ULL, 0x090a1e486846b6b9ULL, 0xa92aef481a78efdbULL}},
+      {"n512_twin", 12, 512, 8, 1 << 16, 0, 0, true,
+       {true, 0x402a000000000000ULL, 13, 1726251ULL, 26,
+        0x3d551c51ce3718e1ULL, 0x84e8998bc44076eeULL, 0xb76f639943a1a4c8ULL}},
+      {"n4096", 7, 4096, 27, 1 << 12, 0, 6, false,
+       {true, 0x4031000000000000ULL, 17, 141532690ULL, 34,
+        0x3da3a256c02c62f3ULL, 0xa600f96e1d3193d0ULL, 0xd90af75e33857a61ULL}},
+  };
+  return cases;
+}
+
+TEST(Gossip, OutcomeGolden) {
+  const auto& cases = lottery_golden_cases();
+  for (const auto& c : cases) {
+    EXPECT_EQ(run_lottery_case(c), c.want) << c.name << " (main thread)";
+  }
+  // Inside pool work the per-step fan-out runs inline, as it does
+  // under campaign trials.
+  std::vector<LotteryFingerprint> nested(cases.size());
+  ThreadPool::global().parallel_for(cases.size(), [&](std::size_t i) {
+    nested[i] = run_lottery_case(cases[i]);
+  });
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(nested[i], cases[i].want) << cases[i].name << " (nested)";
+  }
+}
+
+TEST(Gossip, TopologyClampsDegreeToCompleteGraph) {
+  for (const std::size_t n : {2, 3, 5, 8}) {
+    Rng rng(n);
+    const auto adj = make_gossip_topology(n, 27, rng);
+    ASSERT_EQ(adj.size(), n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      std::vector<std::uint32_t> others;
+      for (std::uint32_t j = 0; j < n; ++j) {
+        if (j != i) others.push_back(j);
+      }
+      EXPECT_EQ(adj[i], others) << "n=" << n << " node " << i;
     }
   }
 }

@@ -13,9 +13,11 @@
 // lane multiplies them via TG_PROP_ITERS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <sstream>
+#include <tuple>
 #include <unordered_set>
 
 #include "proptest_domains.hpp"
@@ -628,7 +630,7 @@ TEST(PowProperties, SolveBatchMatchesSequentialUnderGeneratedSeams) {
       });
 }
 
-// ---------- Gossip bin-table global invariant ----------
+// ---------- Gossip bin tables ----------
 
 TEST(GossipProperties, SolutionSetAlwaysHoldsTheGlobalMinimum) {
   using Case = std::vector<std::uint64_t>;  // raw words -> skewed outputs
@@ -636,7 +638,7 @@ TEST(GossipProperties, SolutionSetAlwaysHoldsTheGlobalMinimum) {
       "gossip.solution-set-holds-global-minimum",
       proptest::vector_of(proptest::u64(), 1, 64),
       [](const Case& words) {
-        pow::BinTable table(40, 8);
+        pow::BinTables table(1, 40, 8, words.size());
         double true_min = 1.0;
         std::uint32_t min_uid = 0;
         for (std::uint32_t i = 0; i < words.size(); ++i) {
@@ -647,16 +649,105 @@ TEST(GossipProperties, SolutionSetAlwaysHoldsTheGlobalMinimum) {
             true_min = out;
             min_uid = i;
           }
-          (void)table.accept({out, 0, i});
+          (void)table.accept(0, table.add(out, 0));
         }
-        const auto rset = table.solution_set(4);
+        const auto rset = table.solution_set(0, 4);
         if (rset.empty()) return false;
         return rset.front().uid == min_uid &&
-               table.minimum().value().uid == min_uid;
+               table.minimum(0).value().uid == min_uid;
       },
       iters(25),
       [](const Case& words) {
         return "outputs[" + std::to_string(words.size()) + ']';
+      });
+}
+
+/// One node's bins with the accept rule BinTables replaced: dedup by
+/// scanning the bin for the uid, then the bounded min-set.  Kept as
+/// the reference the flat tables must agree with.
+struct ScanBins {
+  std::vector<std::vector<pow::LotteryString>> best;
+  std::size_t cap;
+
+  bool accept(const pow::LotteryString& s) {
+    const auto by_output = [](const pow::LotteryString& a,
+                              const pow::LotteryString& b) {
+      return a.output < b.output;
+    };
+    auto& retained = best[pow::bin_of(s.output, best.size() - 1)];
+    for (const auto& existing : retained) {
+      if (existing.uid == s.uid) return false;
+    }
+    if (retained.size() < cap) {
+      retained.insert(std::upper_bound(retained.begin(), retained.end(), s,
+                                       by_output),
+                      s);
+      return true;
+    }
+    if (s.output < retained.back().output) {
+      retained.pop_back();
+      retained.insert(std::upper_bound(retained.begin(), retained.end(), s,
+                                       by_output),
+                      s);
+      return true;
+    }
+    return false;
+  }
+
+  std::vector<pow::LotteryString> retained_deepest_first() const {
+    std::vector<pow::LotteryString> out;
+    for (std::size_t j = best.size(); j-- > 0;) {
+      out.insert(out.end(), best[j].begin(), best[j].end());
+    }
+    return out;
+  }
+};
+
+TEST(GossipProperties, FlatBinsAcceptExactlyWhatTheScanRuleAccepts) {
+  // Outputs are (1..4) * 2^-(2..7): many ties, values on bin
+  // boundaries, and the deepest ones clamped into the last of 5 bins.  Deliveries
+  // pick a node and a string, so strings come back again and again,
+  // some after being evicted.
+  using Case = std::tuple<std::vector<std::uint64_t>,
+                          std::vector<std::uint64_t>, std::uint64_t>;
+  constexpr std::size_t kNodes = 3, kBins = 5;
+  expect_property<Case>(
+      "gossip.flat-bins-match-scan-rule",
+      proptest::tuple_of(proptest::vector_of(proptest::u64(), 1, 24),
+                         proptest::vector_of(proptest::u64(), 0, 200),
+                         proptest::in_range(1, 4)),
+      [](const Case& c) {
+        const auto& [output_words, deliveries, cap] = c;
+        pow::BinTables flat(kNodes, kBins, cap, output_words.size());
+        std::vector<pow::LotteryString> strings;
+        for (const auto w : output_words) {
+          const double x = std::ldexp(static_cast<double>(1 + w % 4),
+                                      -static_cast<int>(2 + (w >> 2) % 6));
+          strings.push_back(flat.string(flat.add(x, 0)));
+        }
+        std::vector<ScanBins> ref(
+            kNodes, ScanBins{std::vector<std::vector<pow::LotteryString>>(
+                                 kBins + 1),
+                             cap});
+        for (const auto d : deliveries) {
+          const std::size_t node = (d >> 32) % kNodes;
+          const auto& s = strings[d % strings.size()];
+          if (flat.accept(node, s.uid) != ref[node].accept(s)) return false;
+        }
+        for (std::size_t node = 0; node < kNodes; ++node) {
+          const auto want = ref[node].retained_deepest_first();
+          if (flat.solution_set(node, strings.size()) != want) return false;
+          const auto min = flat.minimum(node);
+          if (min.has_value() != !want.empty()) return false;
+          if (min && *min != want.front()) return false;
+        }
+        return true;
+      },
+      iters(300),
+      [](const Case& c) {
+        return "strings " + std::to_string(std::get<0>(c).size()) +
+               " deliveries " + std::to_string(std::get<1>(c).size()) +
+               " cap " + std::to_string(std::get<2>(c));
       });
 }
 
