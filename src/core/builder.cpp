@@ -3,31 +3,87 @@
 #include <algorithm>
 
 #include "telemetry/telemetry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tg::core {
 
 namespace {
 
-/// Does this route, evaluated against `graph`, reach its target
-/// without touching a red group?  (Search-path semantics.)
-bool route_succeeds(const GroupGraph& graph, const overlay::Route& route) {
-  if (!route.ok) return false;
-  for (const std::size_t idx : route.path) {
-    if (graph.is_red(idx)) return false;
-  }
-  return true;
-}
+/// Leaders per speculate -> search -> commit chunk.  It bounds the
+/// chunk buffers, and with them the build's peak RSS.
+constexpr std::size_t kChunkLeaders = 256;
+/// Speculated searches per pool task.
+constexpr std::size_t kSearchesPerTask = 64;
 
-/// Message cost of the traversed portion of the search path.
-std::uint64_t route_messages(const GroupGraph& graph,
-                             const overlay::Route& route) {
-  std::uint64_t messages = 0;
-  for (std::size_t k = 1; k < route.path.size(); ++k) {
-    messages += graph.pair_messages(route.path[k - 1], route.path[k]);
-    if (graph.is_red(route.path[k])) break;
+/// One dual search's outcome: what the commit needs to replay it.
+struct DualResult {
+  std::uint64_t messages = 0;  ///< traversed cost in both old graphs
+  std::uint32_t hops = 0;      ///< of the H route (telemetry)
+  bool routed = false;         ///< the H route reached its target
+  bool ok = false;             ///< one old graph's search path stayed blue
+};
+
+/// The old epoch as the dual searches read it.  A dual search is a
+/// single H route in the (shared) old topology, evaluated against both
+/// old graphs' red sets.  Per old group one word packs, for each old
+/// graph, the group size and red flag (size << 1 | red; g1 in the low
+/// half, g2 in the high half), so evaluating a route costs one load
+/// per hop.
+class OldEpoch {
+ public:
+  OldEpoch(const EpochGraphs& old, const overlay::RoutingIndex* ix)
+      : topology_(old.g1->topology()), ix_(ix), dual_(old.dual()) {
+    words_.resize(old.g1->size());
+    for (std::size_t i = 0; i < words_.size(); ++i) {
+      words_[i] = word(*old.g1, i) | word(*old.g2, i) << 32;
+    }
   }
-  return messages;
-}
+
+  /// A pure function of (boot, key) that records nothing, so pool
+  /// workers may run it.
+  [[nodiscard]] DualResult search(overlay::Route& route, std::size_t boot,
+                                  ids::RingPoint key) const {
+    topology_.route_unrecorded(*ix_, route, boot, key);
+    DualResult r;
+    r.routed = route.ok;
+    r.hops = static_cast<std::uint32_t>(route.hops());
+    r.ok = evaluate(route, 0, r.messages);
+    if (dual_) r.ok = evaluate(route, 32, r.messages) || r.ok;
+    return r;
+  }
+
+ private:
+  static std::uint64_t word(const GroupGraph& graph, std::size_t i) {
+    return static_cast<std::uint64_t>(graph.group_size(i)) << 1 |
+           (graph.is_red(i) ? 1u : 0u);
+  }
+
+  /// Search-path semantics against one old graph (the half at
+  /// `shift`): adds the message cost of the traversed portion, which
+  /// ends at the first red group after the start, and returns whether
+  /// the route reached its target without touching a red group.
+  bool evaluate(const overlay::Route& route, int shift,
+                std::uint64_t& messages) const {
+    const auto size_red = [&](std::size_t idx) {
+      return static_cast<std::uint32_t>(words_[idx] >> shift);
+    };
+    if (route.path.empty()) return route.ok;
+    std::uint32_t prev = size_red(route.path[0]);
+    bool blue = (prev & 1u) == 0;
+    for (std::size_t k = 1; k < route.path.size(); ++k) {
+      const std::uint32_t cur = size_red(route.path[k]);
+      messages += static_cast<std::uint64_t>(prev >> 1) * (cur >> 1);
+      if (cur & 1u) return false;
+      prev = cur;
+    }
+    return route.ok && blue;
+  }
+
+  const overlay::InputGraph& topology_;
+  const overlay::RoutingIndex* ix_;
+  bool dual_;
+  std::vector<std::uint64_t> words_;
+};
 
 }  // namespace
 
@@ -69,7 +125,6 @@ std::shared_ptr<GroupGraph> EpochBuilder::build_graph(
     const crypto::RandomOracle& membership_oracle, Rng& rng,
     BuildStats* stats) const {
   const Population& old_pop = *old.pop;
-  const overlay::InputGraph& old_topology = old.g1->topology();
   const std::size_t n = new_pop->size();
   const std::size_t g = params_.group_size();
 
@@ -98,94 +153,157 @@ std::shared_ptr<GroupGraph> EpochBuilder::build_graph(
   GroupTable table;
   table.reserve(n, n * g);
 
-  // Membership-request keys h(w, slot) are independent single-block
-  // oracle calls; draw each leader's g keys through the multi-lane
-  // engine in one batched sweep before walking the slots.
-  auto h = membership_oracle.stream_pair();
-  std::vector<std::uint64_t> slots(g), points(g);
-  for (std::size_t slot = 0; slot < g; ++slot) slots[slot] = slot;
+  // The leader loop runs chunk by chunk as speculate -> search ->
+  // commit; docs/ARCHITECTURE.md, "Epoch build", gives the argument
+  // that the result is the serial loop's, bit for bit.  The index is
+  // resolved here, on the calling thread, where the first search's
+  // index() call would have counted its hit or build.
+  const overlay::RoutingIndex* ix =
+      n > 0 ? &old.g1->topology().index() : nullptr;
+  const OldEpoch old_epoch(old, ix);
+  telemetry::Session* const session = telemetry::active();
+  overlay::Route scratch;  // inline searches of a diverged replay
+  std::uint64_t searches = 0;
 
-  // One dual search: a single H route in the (shared) old topology,
-  // evaluated against both old graphs' red sets.  Returns success and
-  // charges messages to `cat`.
-  const auto dual_search = [&](std::size_t boot, ids::RingPoint key,
-                               sim::MsgCat cat) -> bool {
-    const overlay::Route route = old_topology.route(boot, key);
-    const bool ok1 = route_succeeds(*old.g1, route);
-    st.messages.add(cat, route_messages(*old.g1, route));
-    if (old.dual()) {
-      const bool ok2 = route_succeeds(*old.g2, route);
-      st.messages.add(cat, route_messages(*old.g2, route));
-      return ok1 || ok2;
+  // Chunk buffers, sized once and reused.  Per speculated search q:
+  // its boot index, key and pure result.
+  const std::size_t chunk = std::min(n, kChunkLeaders);
+  std::vector<std::uint64_t> keys(chunk * g);
+  std::vector<std::uint32_t> members(chunk * g);
+  std::vector<std::size_t> link_counts(chunk);
+  std::vector<std::uint32_t> boots;
+  std::vector<ids::RingPoint> search_keys;
+  std::vector<DualResult> results;
+
+  for (std::size_t base = 0; base < n; base += chunk) {
+    const std::size_t count = std::min(chunk, n - base);
+
+    // Per-leader pure work on the pool: membership keys h(w, slot) and
+    // their successors among the old IDs.
+    membership_stage(membership_oracle, new_pop->table(), *ix, g, base, count,
+                     keys.data(), members.data());
+
+    // Speculate: draw every boot/vboot index from a copy of rng as if
+    // every search succeeds -- two draws per membership slot and two
+    // per link target, in the serial loop's order.  The linking-rule
+    // targets are computed here, on the calling thread, because
+    // link_targets allocates its result.
+    Rng speculative = rng;
+    boots.clear();
+    search_keys.clear();
+    const auto speculate = [&](ids::RingPoint key) {
+      for (int k = 0; k < 2; ++k) {
+        boots.push_back(static_cast<std::uint32_t>(
+            old_pop.random_good_index(speculative)));
+        search_keys.push_back(key);
+      }
+    };
+    for (std::size_t j = 0; j < count; ++j) {
+      for (std::size_t slot = 0; slot < g; ++slot) {
+        speculate(ids::RingPoint{keys[j * g + slot]});
+      }
+      const auto targets =
+          new_topology->link_targets(new_pop->table().at(base + j));
+      link_counts[j] = targets.size();
+      for (const ids::RingPoint target : targets) speculate(target);
     }
-    return ok1;
-  };
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t w = new_pop->table().at(i).raw();
+    // Search: every speculated dual search on the pool.  Each is a pure
+    // function of (boot, key) over the old epoch.
+    const std::size_t spec_count = boots.size();
+    results.resize(spec_count);
+    ThreadPool::global().parallel_for(
+        (spec_count + kSearchesPerTask - 1) / kSearchesPerTask,
+        [&](std::size_t t) {
+          overlay::Route route;
+          const std::size_t hi =
+              std::min(spec_count, (t + 1) * kSearchesPerTask);
+          for (std::size_t q = t * kSearchesPerTask; q < hi; ++q) {
+            results[q] = old_epoch.search(route, boots[q], search_keys[q]);
+          }
+        });
+    const bool all_ok = std::all_of(results.begin(), results.end(),
+                                    [](const DualResult& r) { return r.ok; });
 
-    const GroupId id = table.begin_group(static_cast<std::uint32_t>(i));
+    // Commit in leader order.  If every search succeeded, the real draw
+    // sequence is the speculative one: take its results and, after the
+    // chunk, its RNG state.  Otherwise replay with the real rng: a
+    // redrawn boot equal to the speculated one reuses the cached
+    // result, any other is searched inline.  Route telemetry is
+    // recorded here, on the calling thread, as route_into would have.
+    const auto commit = [&](std::size_t q, sim::MsgCat cat) -> bool {
+      const std::size_t boot =
+          all_ok ? boots[q] : old_pop.random_good_index(rng);
+      const DualResult r =
+          boot == boots[q] ? results[q]
+                           : old_epoch.search(scratch, boot, search_keys[q]);
+      st.messages.add(cat, r.messages);
+      if (session) overlay::record_route(*session, r.routed, r.hops);
+      ++searches;
+      return r.ok;
+    };
+    std::size_t q = 0;
+    for (std::size_t j = 0; j < count; ++j) {
+      const GroupId id = table.begin_group(static_cast<std::uint32_t>(base + j));
 
-    // ---- Group-membership requests (via the bootstrap group) ----
-    std::size_t corrupted = 0;
-    std::size_t rejected = 0;
-    h.eval_many(w, slots.data(), points.data(), g);
-    for (std::size_t slot = 0; slot < g; ++slot) {
-      ++st.membership_requests;
-      const ids::RingPoint target{points[slot]};
-      const std::size_t boot = old_pop.random_good_index(rng);
-      if (!dual_search(boot, target, sim::MsgCat::membership)) {
-        ++st.membership_dual_failures;
-        if (config_.adversary_corrupts_on_failure && !old_bad_indices.empty()) {
-          // The adversary answers the search: it plants one of its own
-          // old IDs as the member.
-          table.add_member(old_bad_indices[rng.below(old_bad_indices.size())]);
-          ++corrupted;
+      // ---- Group-membership requests (via the bootstrap group) ----
+      std::size_t corrupted = 0;
+      std::size_t rejected = 0;
+      for (std::size_t slot = 0; slot < g; ++slot, q += 2) {
+        ++st.membership_requests;
+        if (!commit(q, sim::MsgCat::membership)) {
+          ++st.membership_dual_failures;
+          if (config_.adversary_corrupts_on_failure && !old_bad_indices.empty()) {
+            // The adversary answers the search: it plants one of its own
+            // old IDs as the member.
+            table.add_member(old_bad_indices[rng.below(old_bad_indices.size())]);
+            ++corrupted;
+          }
+          continue;
         }
-        continue;
+        // Verification by the solicited member: it performs its own dual
+        // search on the same key (Section III-A, "Verifying a Group-
+        // Membership Request") and erroneously rejects iff both searches
+        // fail -- Lemma 7's third failure mode, probability ~ q_f^2.
+        if (!commit(q + 1, sim::MsgCat::membership)) {
+          ++st.membership_rejects;
+          ++rejected;
+          continue;
+        }
+        table.add_member(members[j * g + slot]);
       }
-      const std::size_t member = old_pop.table().successor_index(target);
-      // Verification by the solicited member: it performs its own dual
-      // search on the same key (Section III-A, "Verifying a Group-
-      // Membership Request") and erroneously rejects iff both searches
-      // fail — Lemma 7's third failure mode, probability ~ q_f^2.
-      const std::size_t vboot = old_pop.random_good_index(rng);
-      if (!dual_search(vboot, target, sim::MsgCat::membership)) {
-        ++st.membership_rejects;
-        ++rejected;
-        continue;
+      table.finish_group();  // sort + dedupe the open span in place
+      std::uint32_t bad = 0;
+      for (const auto m : table.members(id)) {
+        if (old_pop.is_bad(m)) ++bad;
       }
-      table.add_member(static_cast<std::uint32_t>(member));
-    }
-    table.finish_group();  // sort + dedupe the open span in place
-    std::uint32_t bad = 0;
-    for (const auto m : table.members(id)) {
-      if (old_pop.is_bad(m)) ++bad;
-    }
-    table.set_bad_members(id, bad);
-    table.set_corrupted_slots(id, static_cast<std::uint32_t>(corrupted));
-    table.set_rejected_slots(id, static_cast<std::uint32_t>(rejected));
+      table.set_bad_members(id, bad);
+      table.set_corrupted_slots(id, static_cast<std::uint32_t>(corrupted));
+      table.set_rejected_slots(id, static_cast<std::uint32_t>(rejected));
 
-    // ---- Neighbor requests (final link resolution; Lemma 8) ----
-    bool confused = false;
-    for (const ids::RingPoint target :
-         new_topology->link_targets(new_pop->table().at(i))) {
-      ++st.neighbor_requests;
-      const std::size_t boot = old_pop.random_good_index(rng);
-      if (!dual_search(boot, target, sim::MsgCat::neighbor_setup)) {
-        ++st.neighbor_dual_failures;
-        confused = true;  // adversary supplied a wrong neighbor
-        continue;
+      // ---- Neighbor requests (final link resolution; Lemma 8) ----
+      bool confused = false;
+      for (std::size_t t = 0; t < link_counts[j]; ++t, q += 2) {
+        ++st.neighbor_requests;
+        if (!commit(q, sim::MsgCat::neighbor_setup)) {
+          ++st.neighbor_dual_failures;
+          confused = true;  // adversary supplied a wrong neighbor
+          continue;
+        }
+        // The located neighbor verifies the request through Gboot with
+        // its own dual search on the same target.
+        if (!commit(q + 1, sim::MsgCat::neighbor_setup)) {
+          ++st.neighbor_rejects;
+          confused = true;  // erroneous rejection leaves the link unset
+        }
       }
-      // The located neighbor verifies the request through Gboot with
-      // its own dual search on the same target.
-      const std::size_t vboot = old_pop.random_good_index(rng);
-      if (!dual_search(vboot, target, sim::MsgCat::neighbor_setup)) {
-        ++st.neighbor_rejects;
-        confused = true;  // erroneous rejection leaves the link unset
-      }
+      table.set_confused(id, confused);
     }
-    table.set_confused(id, confused);
+    if (all_ok) rng = speculative;
+  }
+  // Every search after the first would have counted one index hit.
+  if (session && searches > 0) {
+    session->count(telemetry::Probe::overlay_index_hits, searches - 1);
   }
 
   auto graph = std::make_shared<GroupGraph>(params_, new_pop, old.pop,

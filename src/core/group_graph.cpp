@@ -1,9 +1,12 @@
 #include "core/group_graph.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
+#include "overlay/routing_index.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tg::core {
 
@@ -47,36 +50,26 @@ GroupGraph GroupGraph::pristine(const Params& params,
                                 const crypto::RandomOracle& membership_oracle) {
   const std::size_t n = pop->size();
   const std::size_t g = params.group_size();
-  auto h = membership_oracle.stream_pair();
 
-  // Streaming build: membership points flow through the multi-lane
-  // engine straight into the slab, batched ACROSS leaders so lane
-  // occupancy stays full even for tiny groups.  The oracle is a pure
-  // function of (w, slot), so batching shape cannot perturb results.
+  // Streaming build over bounded leader batches: the membership stage
+  // fills a batch on the pool, then its groups are appended straight
+  // into the slab in leader order.
+  constexpr std::size_t kBatchLeaders = 4096;
+  const overlay::RoutingIndex grid(pop->table(), /*row_width=*/0);
   GroupTable table;
   table.reserve(n, n * g);
-  constexpr std::size_t kBatchPoints = 1024;
-  const std::size_t leaders_per_batch =
-      g == 0 ? 1 : std::max<std::size_t>(1, kBatchPoints / g);
-  std::vector<std::uint64_t> ws(leaders_per_batch * g);
-  std::vector<std::uint64_t> slots(leaders_per_batch * g);
-  std::vector<std::uint64_t> points(leaders_per_batch * g);
-  for (std::size_t base = 0; base < n; base += leaders_per_batch) {
-    const std::size_t block = std::min(leaders_per_batch, n - base);
-    for (std::size_t j = 0; j < block; ++j) {
-      const std::uint64_t w = pop->table().at(base + j).raw();
-      for (std::size_t slot = 0; slot < g; ++slot) {
-        ws[j * g + slot] = w;
-        slots[j * g + slot] = slot;
-      }
-    }
-    h.eval_many(ws.data(), slots.data(), points.data(), block * g);
-    for (std::size_t j = 0; j < block; ++j) {
+  const std::size_t batch = std::min(n, kBatchLeaders);
+  std::vector<std::uint64_t> keys(batch * g);
+  std::vector<std::uint32_t> members(batch * g);
+  for (std::size_t base = 0; base < n; base += batch) {
+    const std::size_t count = std::min(batch, n - base);
+    membership_stage(membership_oracle, pop->table(), grid, g, base, count,
+                     keys.data(), members.data());
+    for (std::size_t j = 0; j < count; ++j) {
       const GroupId id =
           table.begin_group(static_cast<std::uint32_t>(base + j));
       for (std::size_t slot = 0; slot < g; ++slot) {
-        table.add_member(static_cast<std::uint32_t>(
-            pop->table().successor_index(ids::RingPoint{points[j * g + slot]})));
+        table.add_member(members[j * g + slot]);
       }
       // Deduplicate: a physical ID holds one membership per group.
       table.finish_group();
@@ -93,6 +86,41 @@ GroupGraph GroupGraph::pristine(const Params& params,
                    'i', /*id=*/0, /*a=*/n, /*b=*/table.size());
   }
   return GroupGraph(params, pop, pop, std::move(table));
+}
+
+void membership_stage(const crypto::RandomOracle& oracle,
+                      const ids::RingTable& leaders,
+                      const overlay::RoutingIndex& pool, std::size_t g,
+                      std::size_t first, std::size_t count,
+                      std::uint64_t* keys, std::uint32_t* members) {
+  if (count == 0 || g == 0) return;
+  // One pool task per block of leaders whose keys fill about 1024
+  // oracle calls.  The keys flow through the multi-lane engine in
+  // batches that cross leader boundaries, so lane occupancy stays full
+  // even for tiny groups; the oracle is a pure function of (w, slot),
+  // so batching shape cannot perturb results.
+  constexpr std::size_t kBlockPoints = 1024;
+  constexpr std::size_t kLaneBatch = 64;
+  const std::size_t block = std::max<std::size_t>(1, kBlockPoints / g);
+  ThreadPool::global().parallel_for(
+      (count + block - 1) / block, [&](std::size_t b) {
+        auto h = oracle.stream_pair();
+        const std::size_t lo = b * block;
+        const std::size_t hi = std::min(count, lo + block);
+        std::array<std::uint64_t, kLaneBatch> ws{}, slots{};
+        for (std::size_t p = lo * g; p < hi * g; p += kLaneBatch) {
+          const std::size_t m = std::min(kLaneBatch, hi * g - p);
+          for (std::size_t k = 0; k < m; ++k) {
+            ws[k] = leaders.at(first + (p + k) / g).raw();
+            slots[k] = (p + k) % g;
+          }
+          h.eval_many(ws.data(), slots.data(), keys + p, m);
+        }
+        for (std::size_t p = lo * g; p < hi * g; ++p) {
+          members[p] = static_cast<std::uint32_t>(
+              pool.successor_index(ids::RingPoint{keys[p]}));
+        }
+      });
 }
 
 std::uint64_t GroupGraph::fingerprint() const noexcept {

@@ -162,4 +162,18 @@ class GroupGraph {
   bool synthetic_mode_ = false;
 };
 
+/// The per-leader membership stage shared by GroupGraph::pristine and
+/// the epoch build (Section III-A): for the `count` leaders starting at
+/// index `first` of `leaders`, keys[j*g + s] = h(w_j, s) and
+/// members[j*g + s] = the index of that key's successor in the member
+/// pool, looked up through the pool's successor grid `pool` (which
+/// equals RingTable::successor_index exactly).  Pure, and fanned out
+/// over ThreadPool::global() in fixed leader blocks, so the output
+/// does not depend on the pool width.
+void membership_stage(const crypto::RandomOracle& oracle,
+                      const ids::RingTable& leaders,
+                      const overlay::RoutingIndex& pool, std::size_t g,
+                      std::size_t first, std::size_t count,
+                      std::uint64_t* keys, std::uint32_t* members);
+
 }  // namespace tg::core

@@ -35,28 +35,27 @@ Route InputGraph::route(std::size_t start, RingPoint key) const {
   return r;
 }
 
-namespace {
-
-/// Per-route telemetry: route + failure counters plus the hop
-/// histogram (successful routes only; failures carry no meaningful
-/// hop count).  Counts are pure functions of the queries, so they are
-/// identical at any executor width.
-inline void record_route(telemetry::Session& session, const Route& r) {
+void record_route(telemetry::Session& session, bool ok, std::size_t hops) {
   session.count(telemetry::Probe::overlay_routes);
-  if (r.ok) {
-    session.sample(telemetry::Probe::overlay_hops, r.hops());
+  if (ok) {
+    session.sample(telemetry::Probe::overlay_hops, hops);
   } else {
     session.count(telemetry::Probe::overlay_route_failures);
   }
 }
 
-}  // namespace
-
 void InputGraph::route_into(Route& out, std::size_t start,
                             RingPoint key) const {
+  route_unrecorded(index(), out, start, key);
+  if (auto* session = telemetry::active()) {
+    record_route(*session, out.ok, out.hops());
+  }
+}
+
+void InputGraph::route_unrecorded(const RoutingIndex& ix, Route& out,
+                                  std::size_t start, RingPoint key) const {
   out.reset();
-  route_indexed(index(), out, start, key);
-  if (auto* session = telemetry::active()) record_route(*session, out);
+  route_indexed(ix, out, start, key);
 }
 
 void InputGraph::route_many(const RouteQuery* queries, std::size_t count,
@@ -64,11 +63,12 @@ void InputGraph::route_many(const RouteQuery* queries, std::size_t count,
   if (count == 0) return;
   const RoutingIndex& ix = index();  // resolved once for the batch
   for (std::size_t q = 0; q < count; ++q) {
-    out[q].reset();
-    route_indexed(ix, out[q], queries[q].start, queries[q].key);
+    route_unrecorded(ix, out[q], queries[q].start, queries[q].key);
   }
   if (auto* session = telemetry::active()) {
-    for (std::size_t q = 0; q < count; ++q) record_route(*session, out[q]);
+    for (std::size_t q = 0; q < count; ++q) {
+      record_route(*session, out[q].ok, out[q].hops());
+    }
   }
 }
 

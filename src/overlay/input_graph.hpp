@@ -30,6 +30,10 @@
 
 #include "idspace/ring_table.hpp"
 
+namespace tg::telemetry {
+class Session;
+}
+
 namespace tg::overlay {
 
 using ids::Arc;
@@ -192,6 +196,13 @@ class InputGraph {
   void route_many(const std::vector<RouteQuery>& queries,
                   std::vector<Route>& out) const;
 
+  /// route_into against an index already resolved by index(), recording
+  /// nothing.  A pure function of (start, key), so pool workers may run
+  /// it while their caller records each route on its own thread with
+  /// record_route(), the same telemetry route_into would have written.
+  void route_unrecorded(const RoutingIndex& ix, Route& out, std::size_t start,
+                        RingPoint key) const;
+
   /// The epoch-resident index for the table's CURRENT version, built
   /// on first use (rows filled in parallel on ThreadPool::global())
   /// and rebuilt lazily if the table mutates.  Thread-safe; callers
@@ -249,6 +260,12 @@ class InputGraph {
   mutable std::unique_ptr<RoutingIndex> index_;
   mutable std::atomic<const RoutingIndex*> index_ptr_{nullptr};
 };
+
+/// Per-route telemetry: the route and failure counters plus the hop
+/// histogram (successful routes only; failures carry no meaningful hop
+/// count).  Counts are pure functions of the queries, so they are
+/// identical at any executor width.
+void record_route(telemetry::Session& session, bool ok, std::size_t hops);
 
 /// Number of bits needed so that 2^bits >= m (routing precision).
 [[nodiscard]] int bits_for_size(std::size_t m) noexcept;

@@ -11,6 +11,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/builder.hpp"
@@ -21,7 +24,9 @@
 #include "crypto/oracle.hpp"
 #include "dispatch_seams.hpp"
 #include "scenario/campaign.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/traffic.hpp"
 
 namespace tg::core {
@@ -92,6 +97,154 @@ TEST(EpochGolden, BuilderEpochOneAndStatsUnderEveryKernelCombo) {
     EXPECT_EQ(stats.confused_groups, 1u) << combo;
     EXPECT_EQ(stats.bad_groups, 3u) << combo;
   });
+}
+
+// ---------- failure-heavy builds ----------
+
+/// Both graphs' fingerprints, every BuildStats field and the RNG's next
+/// draw after build_next.
+struct BuildFingerprint {
+  std::uint64_t g1 = 0, g2 = 0;
+  std::size_t membership_requests = 0, membership_dual_failures = 0,
+              membership_rejects = 0;
+  std::size_t neighbor_requests = 0, neighbor_dual_failures = 0,
+              neighbor_rejects = 0;
+  std::size_t confused_groups = 0, bad_groups = 0;
+  std::uint64_t membership_messages = 0, neighbor_messages = 0;
+  std::uint64_t next_draw = 0;
+  friend bool operator==(const BuildFingerprint&,
+                         const BuildFingerprint&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const BuildFingerprint& f) {
+    return os << std::hex << "{0x" << f.g1 << ", 0x" << f.g2 << std::dec
+              << ", " << f.membership_requests << ", "
+              << f.membership_dual_failures << ", " << f.membership_rejects
+              << ", " << f.neighbor_requests << ", "
+              << f.neighbor_dual_failures << ", " << f.neighbor_rejects << ", "
+              << f.confused_groups << ", " << f.bad_groups << ", "
+              << f.membership_messages << ", " << f.neighbor_messages
+              << ", 0x" << std::hex << f.next_draw << "}" << std::dec;
+  }
+};
+
+struct BuildCase {
+  const char* name;
+  std::size_t n;
+  std::uint64_t seed;
+  double beta;
+  BuilderConfig config;
+  BuildFingerprint want;
+};
+
+BuildFingerprint run_build_case(const BuildCase& c) {
+  Params params;
+  params.n = c.n;
+  params.seed = c.seed;
+  params.beta = c.beta;
+  const EpochBuilder builder(params, c.config);
+  Rng rng(c.seed);
+  const EpochGraphs epoch0 = builder.initial(rng);
+  BuildStats st;
+  const EpochGraphs epoch1 = builder.build_next(epoch0, rng, &st);
+  return {epoch1.g1->fingerprint(),
+          epoch1.g2->fingerprint(),
+          st.membership_requests,
+          st.membership_dual_failures,
+          st.membership_rejects,
+          st.neighbor_requests,
+          st.neighbor_dual_failures,
+          st.neighbor_rejects,
+          st.confused_groups,
+          st.bad_groups,
+          st.messages.get(sim::MsgCat::membership),
+          st.messages.get(sim::MsgCat::neighbor_setup),
+          rng()};
+}
+
+TEST(EpochGolden, FailureHeavyBuildsFromMainThreadAndPoolWork) {
+  // Values computed by the serial leader loop before the chunked
+  // speculate/search/commit build replaced it.  Beta is high enough
+  // that dual failures fall in most leader chunks, so the commit's
+  // replay (redrawn boots, inline searches) decides these epochs.
+  const std::vector<BuildCase> cases = {
+      {"corrupting", 2048, 31, 0.14, {},
+       {0xab6ff25abb093ca2ULL, 0xf2e4f4cfe3588052ULL, 102400, 726, 577, 57344,
+        396, 343, 629, 61, 1553620735u, 868476567u, 0xf481f475080863f7ULL}},
+      {"slot-lost", 2048, 31, 0.14, {.adversary_corrupts_on_failure = false},
+       {0xa012c696819aeb49ULL, 0xf7b33d6cdbb1fcc2ULL, 102400, 709, 542, 57344,
+        386, 338, 607, 45, 1553263404u, 868828055u, 0x4067ad81f25eef7bULL}},
+      {"omission", 2048, 32, 0.25, {.bad_present_fraction = 0.5},
+       {0xfd08d8ed9b82efefULL, 0x262a0f67c51eabd0ULL, 78400, 193, 173, 43904,
+        123, 84, 194, 49, 1174062501u, 658277483u, 0x36d2a5421175574dULL}},
+      {"growth", 2048, 33, 0.14, {.growth_factor = 1.3},
+       {0xde68de753cdb24daULL, 0x523116c4561ddfcaULL, 133100, 3158, 2490,
+        79860, 1813, 1491, 2310, 216, 1949833380u, 1171066082u,
+        0x9f356535a12eecfeULL}},
+      {"single-graph", 2048, 34, 0.12, {.mode = BuildMode::single_graph},
+       {0x7690d06ec1792f3bULL, 0x7690d06ec1792f3bULL, 51200, 2093, 1302,
+        28672, 1311, 722, 1157, 55, 385803604u, 215668554u,
+        0xf358e349c08c15ebULL}},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(run_build_case(c), c.want) << c.name << " (main thread)";
+  }
+  // Inside pool work the build's fan-outs run inline, as they do under
+  // campaign trials.
+  std::vector<BuildFingerprint> nested(cases.size());
+  ThreadPool::global().parallel_for(cases.size(), [&](std::size_t i) {
+    nested[i] = run_build_case(cases[i]);
+  });
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(nested[i], cases[i].want) << cases[i].name << " (nested)";
+  }
+}
+
+std::uint64_t fnv_string(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// initial + build_next at n = 1024, beta = 0.14 (about 3000 dual
+/// failures) with `session` bound by the caller; returns hashes of the
+/// stable metrics export and of the Chrome trace.
+std::pair<std::uint64_t, std::uint64_t> traced_build(
+    const telemetry::Session& session) {
+  Params params;
+  params.n = 1024;
+  params.seed = 5;
+  params.beta = 0.14;
+  const EpochBuilder builder(params);
+  Rng rng(params.seed);
+  const EpochGraphs epoch0 = builder.initial(rng);
+  (void)builder.build_next(epoch0, rng);
+  return {fnv_string(session.metrics_json()),
+          fnv_string(session.chrome_trace_json())};
+}
+
+TEST(EpochGolden, BuildTelemetryUnderProcessAndThreadBinding) {
+  // Hashes computed by the serial leader loop, whose route_into calls
+  // recorded every route, hop and index hit on the building thread.  A
+  // search that recorded on a pool worker would double-count under
+  // set_active and vanish from the session under a ThreadBind.
+  const std::pair<std::uint64_t, std::uint64_t> want{0x024511fe1e753618ULL,
+                                                     0xee82cd9dfb91071eULL};
+  {
+    telemetry::Session session;
+    telemetry::set_active(&session);
+    const auto got = traced_build(session);
+    telemetry::set_active(nullptr);
+    EXPECT_EQ(got, want) << "set_active";
+  }
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> nested(2);
+  ThreadPool::global().parallel_for(nested.size(), [&](std::size_t i) {
+    telemetry::Session session;
+    const telemetry::ThreadBind bind(&session);
+    nested[i] = traced_build(session);
+  });
+  for (const auto& got : nested) EXPECT_EQ(got, want) << "ThreadBind";
 }
 
 // ---------- mutation paths ----------
