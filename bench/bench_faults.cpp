@@ -5,7 +5,7 @@
 //
 //   * GUARD PAIR — faults_selfheal_goodput vs its _seed_baseline: the
 //     SAME partitioned, lossy run driven with the self-healing retry
-//     lifecycle vs the legacy fire-once clients, at a FIXED small
+//     lifecycle vs one attempt per op, at a FIXED small
 //     shape that is identical in --fast and full runs.  Goodput per
 //     round is an integer-derived pure function of (spec, seed), so
 //     the pair's ratio is bit-identical on every machine — the

@@ -2,7 +2,7 @@
 // message-passing runtime instead of the analytic simulator.
 //
 // Demonstrates the net:: substrate a deployment would sit on —
-// mailboxes, a delivery policy with loss/delay/Byzantine corruption,
+// inboxes, a delivery policy with loss/delay/Byzantine corruption,
 // and the deterministic parallel executor (same seed => identical
 // trace at any thread count).  The payload crosses a chain of tiny
 // groups; each member majority-filters what it heard before

@@ -1,36 +1,24 @@
 #include "net/network.hpp"
 
+#include <functional>
 #include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tg::net {
-namespace {
-
-void default_corrupt(Message& m) {
-  for (auto& word : m.payload) word ^= 1ULL;
-}
-
-}  // namespace
 
 Network::Network(DeliveryPolicy policy, std::uint64_t seed,
                  std::size_t threads)
     : policy_(std::move(policy)),
       policy_rng_(seed),
-      threads_(threads == 0 ? 1 : threads) {
-  if (!policy_.corrupt) policy_.corrupt = default_corrupt;
-}
-
-Network::~Network() {
-  for (auto& mb : mailboxes_) mb->close();
-}
+      threads_(threads == 0 ? 1 : threads) {}
 
 NodeId Network::add_node(std::unique_ptr<Node> node) {
   if (started_)
     throw std::logic_error("Network: add_node after start()");
   nodes_.push_back(std::move(node));
-  mailboxes_.push_back(std::make_unique<Mailbox>());
+  inboxes_.emplace_back();
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
@@ -39,7 +27,7 @@ void Network::inject(Message m) {
     throw std::out_of_range("Network: inject to unknown node");
   ++stats_.sent;
   m.sent_round = round_;
-  mailboxes_[m.dst]->push(std::move(m));
+  inboxes_[m.dst].push_back(std::move(m));
 }
 
 void Network::absorb_trace(const Message& m) noexcept {
@@ -61,7 +49,7 @@ void Network::route_outbox(std::vector<Message>& outbox) {
     const bool byz = m.src < policy_.byzantine.size() &&
                      policy_.byzantine[m.src] != 0;
     if (byz) {
-      policy_.corrupt(m);
+      for (auto& word : m.payload) word ^= 1ULL;
       ++stats_.corrupted;
     }
     if (policy_.drop_prob > 0.0 && policy_rng_.bernoulli(policy_.drop_prob)) {
@@ -83,7 +71,7 @@ void Network::route_outbox(std::vector<Message>& outbox) {
       // follows its (possibly delayed/reordered) fate below.
       for (std::uint32_t k = 0; k < fate.duplicates; ++k) {
         ++stats_.fault_duplicated;
-        mailboxes_[m.dst]->push(Message(m));
+        inboxes_[m.dst].push_back(Message(m));
       }
       if (fate.delay_rounds > 0) {
         ++stats_.fault_delayed;
@@ -95,7 +83,7 @@ void Network::route_outbox(std::vector<Message>& outbox) {
       }
     }
     if (delay == 0) {
-      mailboxes_[m.dst]->push(std::move(m));
+      inboxes_[m.dst].push_back(std::move(m));
     } else {
       ++stats_.delayed;
       const std::size_t slot = static_cast<std::size_t>(round_) + delay;
@@ -108,7 +96,7 @@ void Network::route_outbox(std::vector<Message>& outbox) {
 
 void Network::flush_reordered() {
   for (auto it = reordered_.rbegin(); it != reordered_.rend(); ++it) {
-    mailboxes_[it->dst]->push(std::move(*it));
+    inboxes_[it->dst].push_back(std::move(*it));
   }
   reordered_.clear();
 }
@@ -134,13 +122,13 @@ std::size_t Network::run_round() {
   // Release messages whose delay expires this round.
   if (round_ < delayed_.size()) {
     for (Message& m : delayed_[round_]) {
-      mailboxes_[m.dst]->push(std::move(m));
+      inboxes_[m.dst].push_back(std::move(m));
     }
     delayed_[round_].clear();
   }
 
   // Per-round scratch, reused across rounds (allocation-free once
-  // warm: deliveries swap with mailbox buffers, outboxes round-trip
+  // warm: deliveries swap with the inboxes, outboxes round-trip
   // through the node Contexts).
   const std::size_t n = nodes_.size();
   deliveries_.resize(n);
@@ -151,7 +139,10 @@ std::size_t Network::run_round() {
   // parallelism starts).
   std::size_t delivered = 0;
   for (NodeId i = 0; i < n; ++i) {
-    mailboxes_[i]->drain_into(deliveries_[i]);
+    // Swap, not copy: last round's delivery buffer becomes the inbox
+    // storage for the next round.
+    deliveries_[i].clear();
+    deliveries_[i].swap(inboxes_[i]);
     delivered += deliveries_[i].size();
     for (const Message& m : deliveries_[i]) absorb_trace(m);
   }
@@ -223,8 +214,8 @@ std::size_t Network::run_until_quiescent(std::size_t max_rounds) {
     ++rounds;
     if (delivered != 0) continue;
     bool pending = false;
-    for (const auto& mb : mailboxes_) {
-      if (mb->size() != 0) {
+    for (const auto& inbox : inboxes_) {
+      if (!inbox.empty()) {
         pending = true;
         break;
       }

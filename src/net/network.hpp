@@ -2,22 +2,30 @@
 // deterministic parallel executor.
 //
 // The simulator elsewhere in this repository counts messages
-// analytically; this module EXECUTES protocols — real mailboxes, real
+// analytically; this module EXECUTES protocols — real inboxes, real
 // handler code, real threads — which is where a deployment of the
 // paper would spend its engineering budget (the repro cost the
 // calibration notes flag as "networking/concurrency boilerplate").
 //
 // Execution model: synchronous rounds (matching the paper's model,
 // Section I-C).  Per round the runtime
-//   1. drains every mailbox,
-//   2. applies the delivery policy (drop, bounded delay, Byzantine
-//      source corruption) with a per-edge deterministic RNG,
+//   1. releases the messages whose delay expires into their inboxes,
+//   2. drains every inbox in node order (the delivery order and the
+//      trace hash are fixed here),
 //   3. runs every node's handlers — in parallel across nodes on the
 //      process-wide persistent thread pool, since a handler only
 //      touches its own node's state and its Context outbox (chunked
 //      dynamically, merged in node order afterwards: identical
 //      results at any thread count and any chunk schedule),
-//   4. routes the merged outboxes into mailboxes for the next round.
+//   4. routes the merged outboxes in node order — delivery policy
+//      (drop, bounded delay, Byzantine source corruption) with a
+//      deterministic RNG, then the fault plane — into the inboxes
+//      for the next round.
+//
+// Inboxes are plain per-node vectors with no lock: every push happens
+// in a sequential routing pass (route_outbox, delayed release,
+// flush_reordered, inject) and every drain in the sequential drain
+// loop, never while handlers run.
 //
 // Determinism is load-bearing: tests assert byte-identical traces
 // between 1-thread and N-thread executions, which is what makes the
@@ -25,11 +33,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "net/mailbox.hpp"
+#include "net/message.hpp"
 #include "net/node.hpp"
 #include "net/words.hpp"
 #include "util/rng.hpp"
@@ -46,12 +53,10 @@ struct DeliveryPolicy {
   double drop_prob = 0.0;
   /// Uniform extra delay in [0, max_delay_rounds] rounds.
   std::size_t max_delay_rounds = 0;
-  /// Messages FROM these nodes pass through corrupt() first (the
-  /// Byzantine channel model: the adversary owns its members' links).
+  /// Messages FROM these nodes have the low bit of every payload word
+  /// flipped (the Byzantine channel model: the adversary owns its
+  /// members' links).
   std::vector<std::uint8_t> byzantine;  // indexed by NodeId; may be empty
-  /// Payload corruption applied to Byzantine sources; default flips
-  /// the low bit of every word.
-  std::function<void(Message&)> corrupt;
 };
 
 /// What the fault plane does to one routed message.  The default
@@ -105,7 +110,6 @@ class Network {
   /// holds for ANY width given the same seed.
   explicit Network(DeliveryPolicy policy, std::uint64_t seed,
                    std::size_t threads = 1);
-  ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -158,12 +162,12 @@ class Network {
   }
 
  private:
-  /// Route every message out of `outbox` (delivery policy, mailbox
+  /// Route every message out of `outbox` (delivery policy, inbox
   /// push or delay scheduling), then clear it with capacity kept.
   void route_outbox(std::vector<Message>& outbox);
   /// Release reorder-held messages (reverse hold order) into their
-  /// mailboxes.  Called after every full routing pass so held traffic
-  /// still lands in the same round's mailboxes, merely out of order.
+  /// inboxes.  Called after every full routing pass so held traffic
+  /// still lands in the same round's inboxes, merely out of order.
   void flush_reordered();
   void absorb_trace(const Message& m) noexcept;
   /// End-of-round telemetry flush (only called with a session active):
@@ -176,14 +180,15 @@ class Network {
   Rng policy_rng_;
   std::size_t threads_;  ///< executor width cap on the global pool
   /// Spill-block pool for message payloads.  Declared before every
-  /// container that can hold Messages (nodes, mailboxes, scratch,
+  /// container that can hold Messages (nodes, inboxes, scratch,
   /// delayed slots): members destroy in reverse order, so all
   /// arena-backed payloads release their blocks before the arena dies.
   WordArena arena_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  /// Recycled per-round scratch: deliveries_ ping-pongs with the
-  /// mailbox buffers, outboxes_ with the node Contexts, so a warmed-up
+  /// Per-node inboxes: messages routed for delivery next round.
+  std::vector<std::vector<Message>> inboxes_;
+  /// Recycled per-round scratch: deliveries_ swaps with the inboxes,
+  /// outboxes_ round-trips through the node Contexts, so a warmed-up
   /// round loop performs no per-round container allocation.
   std::vector<std::vector<Message>> deliveries_;
   std::vector<std::vector<Message>> outboxes_;

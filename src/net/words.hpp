@@ -8,7 +8,7 @@
 // spill blocks return to its free lists when delivered messages are
 // destroyed on drain, so a warmed-up round loop performs no payload
 // allocation at all — the payload-level counterpart of the outbox /
-// mailbox buffer recycling the runtime already does.
+// inbox buffer recycling the runtime already does.
 //
 // Ownership rule: a spilled `Words` releases its block to the arena it
 // was allocated from (the arena pointer travels with the object on

@@ -107,8 +107,8 @@ struct WorkloadAxis {
   std::size_t clients = 8;         ///< closed-loop population
   std::size_t rounds = 192;        ///< traffic-generation window
   std::size_t timeout_rounds = 48; ///< client patience
-  /// Self-healing lifecycle (workload::RetryPolicy defaults) instead
-  /// of the legacy fire-once clients.
+  /// Retrying request lifecycle (workload::RetryPolicy defaults)
+  /// instead of one attempt per op.
   bool retries = false;
   /// Named fault::fault_preset layered onto the cell's run ("" = no
   /// extra faults; the CLI's `--faults` axis).

@@ -439,8 +439,9 @@ std::string chrome_trace_json(const std::vector<const Session*>& sessions) {
 
 namespace detail {
 
-thread_local Session* tls_session = nullptr;
+constinit thread_local Session* tls_session = nullptr;
 std::atomic<Session*> g_session{nullptr};
+std::atomic<std::uint32_t> g_bindings{0};
 std::atomic<Capture*> g_capture{nullptr};
 
 std::uint64_t off_path_guard_probe(std::uint64_t iters) noexcept {

@@ -451,16 +451,22 @@ using ExportMeta = std::vector<std::pair<std::string, std::string>>;
 class Capture;
 
 namespace detail {
-extern thread_local Session* tls_session;
+extern constinit thread_local Session* tls_session;
 extern std::atomic<Session*> g_session;
+/// Non-null bindings alive anywhere in the process (the process-wide
+/// one plus every ThreadBind); while it is zero, active() is a single
+/// load.
+extern std::atomic<std::uint32_t> g_bindings;
 extern std::atomic<Capture*> g_capture;
 }  // namespace detail
 
 /// The session the current thread records into: the thread binding if
 /// one is active, else the process-wide binding, else nullptr (off).
 /// This IS the off-path guard — call sites do nothing else when it
-/// returns nullptr.
+/// returns nullptr.  A binding made before a thread is handed work
+/// (the pool's task hand-off orders them) is always seen.
 [[nodiscard]] inline Session* active() noexcept {
+  if (detail::g_bindings.load() == 0) return nullptr;
   if (Session* s = detail::tls_session) return s;
   return detail::g_session.load(std::memory_order_acquire);
 }
@@ -468,7 +474,9 @@ extern std::atomic<Capture*> g_capture;
 /// Process-wide binding (bench / single-run flows).  Pass nullptr to
 /// unbind.  The session must outlive the binding.
 inline void set_active(Session* s) noexcept {
-  detail::g_session.store(s, std::memory_order_release);
+  const Session* prev = detail::g_session.exchange(s);
+  if (prev == nullptr && s != nullptr) ++detail::g_bindings;
+  if (prev != nullptr && s == nullptr) --detail::g_bindings;
 }
 
 /// Scoped THREAD-LOCAL binding for trial fan-out: the bound session
@@ -476,15 +484,21 @@ inline void set_active(Session* s) noexcept {
 /// previous thread binding on destruction.
 class ThreadBind {
  public:
-  explicit ThreadBind(Session* s) noexcept : prev_(detail::tls_session) {
+  explicit ThreadBind(Session* s) noexcept
+      : prev_(detail::tls_session), counted_(s != nullptr) {
+    if (counted_) ++detail::g_bindings;
     detail::tls_session = s;
   }
-  ~ThreadBind() { detail::tls_session = prev_; }
+  ~ThreadBind() {
+    detail::tls_session = prev_;
+    if (counted_) --detail::g_bindings;
+  }
   ThreadBind(const ThreadBind&) = delete;
   ThreadBind& operator=(const ThreadBind&) = delete;
 
  private:
   Session* prev_;
+  bool counted_;
 };
 
 // Guarded conveniences for one-shot sites.

@@ -95,7 +95,6 @@
 #include "routing/transport.hpp"
 
 // Message-passing runtime (actors, delivery policy, Fig. 1 relay)
-#include "net/mailbox.hpp"
 #include "net/message.hpp"
 #include "net/min_gossip.hpp"
 #include "net/network.hpp"

@@ -1,9 +1,10 @@
 #include "workload/engine.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <array>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -77,15 +78,15 @@ class GroupNode final : public net::Node {
       : index_(index), service_(&service), padding_words_(padding_words) {}
 
   void on_message(const net::Message& m, net::Context& ctx) override {
-    handle(m, ctx, nullptr);
+    on_messages(std::span<const net::Message>(&m, 1), ctx);
   }
 
-  /// Batch hook: route every fresh request in the round's delivery
-  /// batch in ONE route_many pass over the epoch index, then replay
-  /// the messages in arrival order with their pre-computed routes.
-  /// Candidate detection is side-effect-free (red/responsible checks
-  /// only read immutable world state), so semantics, send order and
-  /// traces are byte-identical to the per-message path.
+  /// The one delivery entry: route every fresh request in the round's
+  /// delivery batch in ONE route_many pass over the epoch index, then
+  /// replay the messages in arrival order with their pre-computed
+  /// routes.  Candidate detection is side-effect-free (red/responsible
+  /// checks only read immutable world state), so semantics and send
+  /// order are those of handling each message on its own.
   void on_messages(std::span<const net::Message> batch,
                    net::Context& ctx) override {
     const World& world = service_->world();
@@ -108,18 +109,20 @@ class GroupNode final : public net::Node {
     }
     std::size_t next_q = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      const overlay::Route* prerouted = nullptr;
+      const overlay::Route* route = nullptr;
       if (next_q < query_msg_.size() && query_msg_[next_q] == i) {
-        prerouted = &routes_[next_q];
+        route = &routes_[next_q];
         ++next_q;
       }
-      handle(batch[i], ctx, prerouted);
+      handle(batch[i], ctx, route);
     }
   }
 
  private:
+  /// `route` is the pre-computed route of a fresh request this group
+  /// forwards (exactly the messages on_messages queried), else null.
   void handle(const net::Message& m, net::Context& ctx,
-              const overlay::Route* prerouted) {
+              const overlay::Route* route) {
     if (m.tag != kTagRequest || m.payload.size() < kReqHops) return;
     const World& world = service_->world();
     Operation op;
@@ -181,11 +184,6 @@ class GroupNode final : public net::Node {
     }
     std::size_t next;
     if (m.payload[kReqHopCount] == kFreshRequest) {
-      const overlay::Route* route = prerouted;
-      if (route == nullptr) {
-        world.route_into(route_scratch_, index_, op.key);
-        route = &route_scratch_;
-      }
       if (!route->ok || route->path.size() < 2) return;  // routing dead end
       next = route->path[1];
       payload.push_back(route->path.size() - 2);
@@ -240,23 +238,38 @@ class GroupNode final : public net::Node {
   std::uint64_t analytic_messages_ = 0;
   // Routing scratch, reused round over round (handlers of one node
   // never run concurrently): allocation-free steady-state forwarding.
-  overlay::Route route_scratch_;
   std::vector<overlay::RouteQuery> queries_;
   std::vector<std::size_t> query_msg_;
   std::vector<overlay::Route> routes_;
 };
 
+/// Lifecycle constants: an op's client-observed deadline in attempt
+/// timeouts, the backoff before attempt k+1 (base << (k - 1) rounds),
+/// and how many alternate entry groups failover routing scores.
+constexpr std::uint64_t kDeadlineTimeouts = 4;
+constexpr std::uint64_t kBackoffBaseRounds = 2;
+constexpr std::size_t kFailoverCandidates = 4;
+
 /// Shared issuing machinery: op numbering, start-group selection
-/// (uniform, or steered by the eclipse knob), reply matching — plus
-/// the self-healing op ledger (deadline, backoff retries, hedging,
-/// failover routing) used by both loop modes when RetryPolicy is on.
+/// (uniform, or steered by the eclipse knob), and the op ledger that
+/// drives every op through the request lifecycle (deadline, backoff
+/// retries, hedging, failover routing).  With retries off the policy
+/// allows one attempt and no hedge: the op times out after its first
+/// attempt, which is the paper's search that dies at a red group.
 class IssuerBase : public net::Node {
  public:
   IssuerBase(const Spec& spec, Service& service, std::uint64_t seed)
-      : spec_(&spec), service_(&service), rng_(seed) {}
+      : spec_(&spec),
+        service_(&service),
+        rng_(seed),
+        max_attempts_(spec.retry.enabled
+                          ? std::max<std::size_t>(1, spec.retry.max_attempts)
+                          : 1),
+        hedge_(spec.retry.enabled && spec.retry.hedge) {}
 
   [[nodiscard]] const Recorder& recorder() const noexcept { return recorder_; }
-  [[nodiscard]] virtual std::size_t inflight() const noexcept = 0;
+  /// Ops issued and not yet settled.
+  [[nodiscard]] std::size_t inflight() const noexcept { return open_ops_; }
   [[nodiscard]] const std::vector<std::uint64_t>& completed_by_round()
       const noexcept {
     return completed_by_round_;
@@ -283,10 +296,6 @@ class IssuerBase : public net::Node {
     std::vector<std::uint32_t> implicated;
   };
 
-  [[nodiscard]] bool retry_on() const noexcept {
-    return spec_->retry.enabled;
-  }
-
   /// The phase governing `round`, or nullptr before the first phase.
   [[nodiscard]] const AttackPhase* phase_at(
       std::uint64_t round) const noexcept {
@@ -311,115 +320,18 @@ class IssuerBase : public net::Node {
     return static_cast<net::NodeId>(rng_.below(world.groups()));
   }
 
-  // ----- telemetry mirrors (no-ops without an active session) -----
-
-  [[nodiscard]] std::uint32_t telem_source() const noexcept {
-    return telemetry::kSrcClient + static_cast<std::uint32_t>(self_id_);
+  /// Node id in the high bits keeps op ids globally unique.
+  [[nodiscard]] std::uint64_t next_op_id(const net::Context& ctx) noexcept {
+    return (static_cast<std::uint64_t>(ctx.self()) << 40) | next_serial_++;
   }
 
-  /// Opens the op's async span ('b') and mirrors the issued counter.
-  /// Bogus background issuers keep no ledger and emit no spans.
-  void telem_op_begin(std::uint64_t op_id, const Operation& op) {
-    if (!track_ops_) return;
-    if (auto* t = telemetry::active()) {
-      t->count(telemetry::Probe::workload_ops_issued);
-      t->event(telemetry::EventName::op, telem_source(), 'b', op_id,
-               /*a=*/static_cast<std::uint64_t>(op.kind));
-    }
-  }
-
-  /// Closes the op's span ('e') with its outcome and mirrors the
-  /// outcome counter + latency histogram.
-  void telem_op_end(std::uint64_t op_id, std::uint64_t outcome,
-                    std::uint64_t latency) {
-    if (auto* t = telemetry::active()) {
-      using telemetry::Probe;
-      t->count(outcome == kOutcomeCompleted ? Probe::workload_ops_completed
-               : outcome == kOutcomeFailed  ? Probe::workload_ops_failed
-                                            : Probe::workload_ops_timed_out);
-      t->sample(Probe::workload_op_latency_rounds, latency);
-      t->event(telemetry::EventName::op, telem_source(), 'e', op_id,
-               /*a=*/0, /*b=*/outcome);
-    }
-  }
-
-  void telem_op_stale(const net::Message& m) {
-    if (auto* t = telemetry::active()) {
-      t->count(telemetry::Probe::workload_stale_replies);
-      t->event(telemetry::EventName::op_stale, telem_source(), 'n',
-               m.payload[0], /*a=*/m.src);
-    }
-  }
-
-  /// Issue the next op from this node; returns its id.  (The legacy
-  /// fire-once path; the lifecycle path opens ops via open_op.)
-  std::uint64_t issue(net::Context& ctx) {
-    self_id_ = ctx.self();
+  /// Flood traffic: one request with no ledger entry, so it is never
+  /// counted, traced, retried or timed out.
+  void send_untracked(net::Context& ctx) {
     const Operation op = service_->next_operation(rng_);
-    // Node id in the high bits keeps op ids globally unique.
-    const std::uint64_t op_id =
-        (static_cast<std::uint64_t>(ctx.self()) << 40) | next_serial_++;
+    const std::uint64_t op_id = next_op_id(ctx);
     send_request(ctx, pick_start(ctx.round()), op, op_id, ctx.self(),
                  spec_->padding_words);
-    ++recorder_.issued;
-    telem_op_begin(op_id, op);
-    return op_id;
-  }
-
-  void record_reply(const net::Message& m, std::uint64_t delivery_round,
-                    std::uint64_t issue_round) {
-    // Client-observed latency: delivery round minus issue round (>= 1;
-    // delayed replies count their delay).
-    const std::uint64_t latency =
-        std::max<std::uint64_t>(1, delivery_round - issue_round);
-    recorder_.latency.record(latency);
-    std::uint64_t outcome = kOutcomeFailed;
-    if (m.payload.size() >= 2 && m.payload[1] == kStatusOk) {
-      ++recorder_.completed;
-      note_goodput(delivery_round);
-      outcome = kOutcomeCompleted;
-    } else {
-      ++recorder_.failed;
-    }
-    telem_op_end(m.payload[0], outcome, latency);
-  }
-
-  void record_timeout(std::uint64_t op_id) {
-    recorder_.latency.record(spec_->timeout_rounds);
-    ++recorder_.timed_out;
-    telem_op_end(op_id, kOutcomeTimedOut, spec_->timeout_rounds);
-  }
-
-  // ----- self-healing lifecycle (retry_on() paths only) -----
-
-  [[nodiscard]] std::uint64_t deadline_rounds() const noexcept {
-    return spec_->retry.deadline_rounds != 0 ? spec_->retry.deadline_rounds
-                                             : 4 * spec_->timeout_rounds;
-  }
-
-  /// How long a settled entry lingers so late/duplicate replies are
-  /// classified stale by the ledger rather than by its absence.
-  [[nodiscard]] std::uint64_t stale_grace() const noexcept {
-    return spec_->timeout_rounds;
-  }
-
-  /// Hedge trigger: explicit knob, or this issuer's own p99 once it
-  /// has data (bootstrap: half the timeout), clamped under the
-  /// attempt timeout so hedging can ever help.
-  [[nodiscard]] std::uint64_t hedge_delay() const noexcept {
-    if (spec_->retry.hedge_delay_rounds != 0) {
-      return spec_->retry.hedge_delay_rounds;
-    }
-    std::uint64_t delay = spec_->timeout_rounds / 2;
-    if (recorder_.latency.count() >= 8) delay = recorder_.latency.p99();
-    const std::uint64_t cap =
-        std::max<std::uint64_t>(2, spec_->timeout_rounds - 1);
-    return std::clamp<std::uint64_t>(delay, 2, cap);
-  }
-
-  void schedule_wake(std::uint64_t when, std::uint64_t op_id) {
-    if (wake_.size() <= when) wake_.resize(when + 1);
-    wake_[when].push_back(op_id);
   }
 
   /// Open a new op under the lifecycle: ledger entry + first attempt.
@@ -428,18 +340,22 @@ class IssuerBase : public net::Node {
     const std::uint64_t round = ctx.round();
     OpState st;
     st.op = service_->next_operation(rng_);
-    const std::uint64_t op_id =
-        (static_cast<std::uint64_t>(ctx.self()) << 40) | next_serial_++;
+    const std::uint64_t op_id = next_op_id(ctx);
     st.first_issue = st.last_issue = round;
     st.attempts = 1;
     st.last_start = pick_start(round);
     send_request(ctx, st.last_start, st.op, op_id, ctx.self(),
                  spec_->padding_words);
     ++recorder_.issued;
-    telem_op_begin(op_id, st.op);
+    if (auto* t = telemetry::active()) {
+      // Opens the op's async span ('b').
+      t->count(telemetry::Probe::workload_ops_issued);
+      t->event(telemetry::EventName::op, telem_source(), 'b', op_id,
+               /*a=*/static_cast<std::uint64_t>(st.op.kind));
+    }
     ++open_ops_;
     schedule_wake(round + spec_->timeout_rounds, op_id);
-    if (spec_->retry.hedge) {
+    if (hedge_) {
       const std::uint64_t at = round + hedge_delay();
       if (at < round + spec_->timeout_rounds) {
         st.hedge_at = at;
@@ -466,7 +382,8 @@ class IssuerBase : public net::Node {
         if (round >= st.cleanup_at) ledger_.erase(it);
         continue;
       }
-      const std::uint64_t limit = st.first_issue + deadline_rounds();
+      const std::uint64_t limit =
+          st.first_issue + kDeadlineTimeouts * spec_->timeout_rounds;
       if (round >= limit) {
         settle_timeout(op_id, st, round);
         continue;
@@ -483,16 +400,14 @@ class IssuerBase : public net::Node {
       }
       if (round >= st.last_issue + spec_->timeout_rounds) {
         // The newest attempt timed out: remember its route, then back
-        // off and fail over — or give up within the deadline.
-        implicate(st);
-        if (st.attempts >=
-            std::max<std::size_t>(1, spec_->retry.max_attempts)) {
+        // off and fail over — or give up within the deadline.  With a
+        // single attempt allowed there is nothing to fail over to.
+        if (max_attempts_ > 1) implicate(st);
+        if (st.attempts >= max_attempts_) {
           settle_timeout(op_id, st, round);
           continue;
         }
-        const std::uint64_t backoff = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(spec_->retry.backoff_base_rounds)
-                   << (st.attempts - 1));
+        const std::uint64_t backoff = kBackoffBaseRounds << (st.attempts - 1);
         const std::uint64_t when = round + backoff;
         if (when + 1 >= limit) {
           settle_timeout(op_id, st, round);
@@ -507,42 +422,92 @@ class IssuerBase : public net::Node {
     }
   }
 
-  /// Reply handling under the lifecycle.  Returns true if the reply
-  /// settled its op; stale (late/duplicate/hedge-echo) replies only
-  /// bump the stale counter — the ledger is idempotent by design.
-  bool handle_retry_reply(const net::Message& m, net::Context& ctx) {
+  /// Reply handling: the first reply settles its op; stale
+  /// (late/duplicate/hedge-echo) replies only bump the stale counter —
+  /// the ledger is idempotent by design.
+  void handle_reply(const net::Message& m, net::Context& ctx) {
     const auto it = ledger_.find(m.payload[0]);
     if (it == ledger_.end() || it->second.settled) {
       ++recorder_.stale_replies;
-      telem_op_stale(m);
-      return false;
+      if (auto* t = telemetry::active()) {
+        t->count(telemetry::Probe::workload_stale_replies);
+        t->event(telemetry::EventName::op_stale, telem_source(), 'n',
+                 m.payload[0], /*a=*/m.src);
+      }
+      return;
     }
     OpState& st = it->second;
-    record_reply(m, ctx.round(), st.first_issue);
-    st.settled = true;
-    --open_ops_;
-    st.cleanup_at = ctx.round() + stale_grace();
-    schedule_wake(st.cleanup_at, m.payload[0]);
-    on_settled();
-    return true;
+    // Client-observed latency: delivery round minus first issue round
+    // (>= 1; delayed replies count their delay).
+    const std::uint64_t round = ctx.round();
+    const std::uint64_t latency =
+        std::max<std::uint64_t>(1, round - st.first_issue);
+    std::uint64_t outcome = kOutcomeFailed;
+    if (m.payload.size() >= 2 && m.payload[1] == kStatusOk) {
+      ++recorder_.completed;
+      note_goodput(round);
+      outcome = kOutcomeCompleted;
+    } else {
+      ++recorder_.failed;
+    }
+    settle(m.payload[0], st, round, outcome, latency);
   }
-
-  [[nodiscard]] std::size_t open_ops() const noexcept { return open_ops_; }
 
   /// Loop-mode hook: fired exactly once per op when it settles.
   virtual void on_settled() {}
 
+  const Spec* spec_;
+
  private:
+  [[nodiscard]] std::uint32_t telem_source() const noexcept {
+    return telemetry::kSrcClient + static_cast<std::uint32_t>(self_id_);
+  }
+
+  /// Hedge trigger: explicit knob, or this issuer's own p99 once it
+  /// has data (bootstrap: half the timeout), clamped under the
+  /// attempt timeout so hedging can ever help.
+  [[nodiscard]] std::uint64_t hedge_delay() const noexcept {
+    if (spec_->retry.hedge_delay_rounds != 0) {
+      return spec_->retry.hedge_delay_rounds;
+    }
+    std::uint64_t delay = spec_->timeout_rounds / 2;
+    if (recorder_.latency.count() >= 8) delay = recorder_.latency.p99();
+    const std::uint64_t cap =
+        std::max<std::uint64_t>(2, spec_->timeout_rounds - 1);
+    return std::clamp<std::uint64_t>(delay, 2, cap);
+  }
+
+  void schedule_wake(std::uint64_t when, std::uint64_t op_id) {
+    if (wake_.size() <= when) wake_.resize(when + 1);
+    wake_[when].push_back(op_id);
+  }
+
   void settle_timeout(std::uint64_t op_id, OpState& st, std::uint64_t round) {
     // Latency is the client-observed wait since the FIRST attempt.
-    const std::uint64_t latency =
-        std::max<std::uint64_t>(1, round - st.first_issue);
-    recorder_.latency.record(latency);
     ++recorder_.timed_out;
-    telem_op_end(op_id, kOutcomeTimedOut, latency);
+    settle(op_id, st, round, kOutcomeTimedOut,
+           std::max<std::uint64_t>(1, round - st.first_issue));
+  }
+
+  /// Records the op's latency, closes its span ('e') with `outcome`,
+  /// and keeps the settled entry for a grace period so late and
+  /// duplicate replies are classified stale by the ledger rather than
+  /// by its absence.
+  void settle(std::uint64_t op_id, OpState& st, std::uint64_t round,
+              std::uint64_t outcome, std::uint64_t latency) {
+    recorder_.latency.record(latency);
+    if (auto* t = telemetry::active()) {
+      using telemetry::Probe;
+      t->count(outcome == kOutcomeCompleted ? Probe::workload_ops_completed
+               : outcome == kOutcomeFailed  ? Probe::workload_ops_failed
+                                            : Probe::workload_ops_timed_out);
+      t->sample(Probe::workload_op_latency_rounds, latency);
+      t->event(telemetry::EventName::op, telem_source(), 'e', op_id,
+               /*a=*/0, /*b=*/outcome);
+    }
     st.settled = true;
     --open_ops_;
-    st.cleanup_at = round + stale_grace();
+    st.cleanup_at = round + spec_->timeout_rounds;
     schedule_wake(st.cleanup_at, op_id);
     on_settled();
   }
@@ -550,12 +515,8 @@ class IssuerBase : public net::Node {
   void send_attempt(net::Context& ctx, std::uint64_t op_id, OpState& st,
                     bool hedge) {
     const std::uint64_t round = ctx.round();
-    net::NodeId start;
-    if (spec_->retry.avoid_implicated && !st.implicated.empty()) {
-      start = pick_failover_start(st);
-    } else {
-      start = pick_start(round);
-    }
+    const net::NodeId start =
+        st.implicated.empty() ? pick_start(round) : pick_failover_start(st);
     st.last_start = start;
     st.last_issue = round;
     if (hedge) {
@@ -579,7 +540,6 @@ class IssuerBase : public net::Node {
   /// OWNER answers — corrupted — rather than timing out), capped to
   /// keep per-op state tiny.
   void implicate(OpState& st) {
-    if (!spec_->retry.avoid_implicated) return;
     const World& world = service_->world();
     world.route_into(route_scratch_, st.last_start, st.op.key);
     if (!route_scratch_.ok) return;
@@ -593,24 +553,22 @@ class IssuerBase : public net::Node {
     }
   }
 
-  /// Failover entry selection: draw K candidate entry groups, route
-  /// them all in ONE route_many batch, take the route overlapping the
-  /// implicated set least (ties: first drawn; same-entry re-use is
+  /// Failover entry selection: draw kFailoverCandidates entry groups,
+  /// route them all in ONE route_many batch, take the route overlapping
+  /// the implicated set least (ties: first drawn; same-entry re-use is
   /// penalized one point).
   [[nodiscard]] net::NodeId pick_failover_start(const OpState& st) {
     const World& world = service_->world();
-    const std::size_t k =
-        std::max<std::size_t>(2, spec_->retry.failover_candidates);
     cand_queries_.clear();
-    for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t i = 0; i < kFailoverCandidates; ++i) {
       cand_queries_.push_back(
           overlay::RouteQuery{rng_.below(world.groups()), st.op.key});
     }
-    if (cand_routes_.size() < k) cand_routes_.resize(k);
-    world.route_many(cand_queries_.data(), k, cand_routes_.data());
+    world.route_many(cand_queries_.data(), kFailoverCandidates,
+                     cand_routes_.data());
     std::size_t best = 0;
     std::size_t best_score = ~std::size_t{0};
-    for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t i = 0; i < kFailoverCandidates; ++i) {
       const overlay::Route& route = cand_routes_[i];
       if (!route.ok) continue;
       std::size_t score = 0;
@@ -638,20 +596,16 @@ class IssuerBase : public net::Node {
     ++completed_by_round_[round];
   }
 
- protected:
-  const Spec* spec_;
   Service* service_;
   Rng rng_;
+  /// Total send attempts per op (1 with retries off).
+  std::size_t max_attempts_;
+  bool hedge_;
   Recorder recorder_;
   std::uint64_t next_serial_ = 0;
   /// Own node id, captured at the first issue (Context is not stored);
   /// telemetry events use it as the per-issuer trace "thread".
   net::NodeId self_id_ = 0;
-  /// Bogus background issuers keep no ledger, so they mirror nothing.
-  bool track_ops_ = true;
-
- private:
-  // Lifecycle state (only touched when retry_on()).
   std::unordered_map<std::uint64_t, OpState> ledger_;
   /// Wake slots by absolute round — the ONLY iteration over pending
   /// ops, appended in deterministic handler order (never a map walk).
@@ -660,7 +614,7 @@ class IssuerBase : public net::Node {
   std::vector<std::uint64_t> completed_by_round_;
   overlay::Route route_scratch_;
   std::vector<overlay::RouteQuery> cand_queries_;
-  std::vector<overlay::Route> cand_routes_;
+  std::array<overlay::Route, kFailoverCandidates> cand_routes_;
 };
 
 /// Open-loop generator: a deterministic arrival schedule, issued
@@ -671,41 +625,16 @@ class GeneratorNode final : public IssuerBase {
  public:
   GeneratorNode(const Spec& spec, Service& service, std::uint64_t seed,
                 double rate, bool bogus)
-      : IssuerBase(spec, service, seed), rate_(rate), bogus_(bogus) {
-    track_ops_ = !bogus;
-  }
+      : IssuerBase(spec, service, seed), rate_(rate), bogus_(bogus) {}
 
   void on_message(const net::Message& m, net::Context& ctx) override {
     if (bogus_ || m.tag != kTagReply || m.payload.empty()) return;
-    if (retry_on()) {
-      handle_retry_reply(m, ctx);
-      return;
-    }
-    const auto it = inflight_.find(m.payload[0]);
-    if (it == inflight_.end()) {
-      // Already timed out (or a duplicate delivery): the legacy
-      // ledger is idempotent too — counted, never recorded twice.
-      ++recorder_.stale_replies;
-      telem_op_stale(m);
-      return;
-    }
-    record_reply(m, ctx.round(), it->second);
-    inflight_.erase(it);
+    handle_reply(m, ctx);
   }
 
   void on_round_end(net::Context& ctx) override {
     const std::uint64_t round = ctx.round();
-    if (retry_on() && !bogus_) {
-      process_wakes(ctx);
-    } else {
-      // Expire overdue ops (issue order == FIFO order).
-      while (!expiry_.empty() &&
-             round - expiry_.front().second >= spec_->timeout_rounds) {
-        const auto op_id = expiry_.front().first;
-        expiry_.pop_front();
-        if (inflight_.erase(op_id) != 0) record_timeout(op_id);
-      }
-    }
+    process_wakes(ctx);
     if (round > spec_->rounds) return;  // generation window over: drain
     double rate = rate_;
     if (bogus_ && !spec_->phases.empty()) {
@@ -721,30 +650,18 @@ class GeneratorNode final : public IssuerBase {
     accumulator_ += rate;
     while (accumulator_ >= 1.0) {
       accumulator_ -= 1.0;
-      if (retry_on() && !bogus_) {
-        open_op(ctx);
-        continue;
-      }
-      const std::uint64_t op_id = issue(ctx);
       if (bogus_) {
-        recorder_.issued = 0;  // bogus load keeps no ledger
+        send_untracked(ctx);
       } else {
-        inflight_.emplace(op_id, round);
-        expiry_.emplace_back(op_id, round);
+        open_op(ctx);
       }
     }
-  }
-
-  [[nodiscard]] std::size_t inflight() const noexcept override {
-    return retry_on() ? open_ops() : inflight_.size();
   }
 
  private:
   double rate_;
   bool bogus_;
   double accumulator_ = 0.0;
-  std::unordered_map<std::uint64_t, std::uint64_t> inflight_;  // id -> round
-  std::deque<std::pair<std::uint64_t, std::uint64_t>> expiry_;
 };
 
 /// Closed-loop client: one op in flight, then think, then the next.
@@ -753,69 +670,26 @@ class ClientNode final : public IssuerBase {
   ClientNode(const Spec& spec, Service& service, std::uint64_t seed)
       : IssuerBase(spec, service, seed) {}
 
-  void on_start(net::Context& ctx) override {
-    if (retry_on()) {
-      open_op(ctx);
-      return;
-    }
-    inflight_id_ = issue(ctx);
-    issue_round_ = ctx.round();
-  }
+  void on_start(net::Context& ctx) override { open_op(ctx); }
 
   void on_message(const net::Message& m, net::Context& ctx) override {
     if (m.tag != kTagReply || m.payload.empty()) return;
-    if (retry_on()) {
-      handle_retry_reply(m, ctx);
-      return;
-    }
-    if (m.payload[0] != inflight_id_ || inflight_id_ == 0) {
-      // A reply for an op this client already gave up on (or a
-      // duplicate of one it already took): stale by definition.
-      ++recorder_.stale_replies;
-      telem_op_stale(m);
-      return;
-    }
-    record_reply(m, ctx.round(), issue_round_);
-    inflight_id_ = 0;
-    think_left_ = spec_->think_rounds;
+    handle_reply(m, ctx);
   }
 
   void on_round_end(net::Context& ctx) override {
-    const std::uint64_t round = ctx.round();
-    if (retry_on()) {
-      process_wakes(ctx);
-      if (open_ops() != 0 || round > spec_->rounds) return;
-      if (think_left_ > 0) {
-        --think_left_;
-        return;
-      }
-      open_op(ctx);
-      return;
-    }
-    if (inflight_id_ != 0 &&
-        round - issue_round_ >= spec_->timeout_rounds) {
-      record_timeout(inflight_id_);
-      inflight_id_ = 0;
-      think_left_ = spec_->think_rounds;
-    }
-    if (inflight_id_ != 0 || round > spec_->rounds) return;
+    process_wakes(ctx);
+    if (inflight() != 0 || ctx.round() > spec_->rounds) return;
     if (think_left_ > 0) {
       --think_left_;
       return;
     }
-    inflight_id_ = issue(ctx);
-    issue_round_ = round;
-  }
-
-  [[nodiscard]] std::size_t inflight() const noexcept override {
-    return retry_on() ? open_ops() : (inflight_id_ != 0 ? 1 : 0);
+    open_op(ctx);
   }
 
  private:
   void on_settled() override { think_left_ = spec_->think_rounds; }
 
-  std::uint64_t inflight_id_ = 0;
-  std::uint64_t issue_round_ = 0;
   std::size_t think_left_ = 0;
 };
 
@@ -827,35 +701,23 @@ std::string_view to_string(Mode mode) noexcept {
 
 RunResult run(Service& service, const Spec& spec_in, std::uint64_t seed,
               std::size_t threads) {
+  if (spec_in.timeout_rounds == 0) {
+    // An op's first wake would land on the round being processed.
+    throw std::invalid_argument("workload::run: timeout_rounds must be >= 1");
+  }
   const World& world = service.world();
   // Warm the epoch routing index from the main thread (its row build
   // parallelizes on the global pool) before handlers start routing —
   // a pool worker hitting a cold index would build it inline.
   world.prepare_routing();
 
-  // Normalize the spec the nodes will observe: phases sorted, and the
-  // deprecated drop/delay aliases compiled into the fault plane (the
-  // single source of truth for message hazards).
+  // Normalize the spec the nodes will observe: phases sorted, and a
+  // fault plan seed derived from the run seed when none is given.
   Spec spec = spec_in;
   std::stable_sort(spec.phases.begin(), spec.phases.end(),
                    [](const AttackPhase& a, const AttackPhase& b) {
                      return a.start_round < b.start_round;
                    });
-  if (spec.drop_prob > 0.0 || spec.max_delay_rounds > 0) {
-    fault::HazardRule rule;
-    rule.drop_prob = spec.drop_prob;
-    if (spec.max_delay_rounds > 0) {
-      // Legacy semantics: uniform delay in [0, M] == delay with
-      // probability M/(M+1), magnitude uniform in 1..M.
-      rule.delay_prob = static_cast<double>(spec.max_delay_rounds) /
-                        (static_cast<double>(spec.max_delay_rounds) + 1.0);
-      rule.max_delay_rounds =
-          static_cast<std::uint32_t>(spec.max_delay_rounds);
-    }
-    spec.faults.rules.push_back(rule);
-    spec.drop_prob = 0.0;
-    spec.max_delay_rounds = 0;
-  }
   if (!spec.faults.empty() && spec.faults.seed == 0) {
     spec.faults.seed = mix64(seed ^ 0x6661756c74ULL);  // "fault"
   }
@@ -912,16 +774,10 @@ RunResult run(Service& service, const Spec& spec_in, std::uint64_t seed,
   const Stopwatch sw;
   network.start();
   for (std::size_t r = 0; r < spec.rounds; ++r) network.run_round();
-  // Drain: every tracked op resolves within its horizon — the timeout
-  // on the legacy path, the per-op deadline (plus the final attempt's
-  // timeout) under the retry lifecycle.
-  std::size_t drain_cap = spec.timeout_rounds + 8;
-  if (spec.retry.enabled) {
-    const std::size_t deadline = spec.retry.deadline_rounds != 0
-                                     ? spec.retry.deadline_rounds
-                                     : 4 * spec.timeout_rounds;
-    drain_cap = deadline + spec.timeout_rounds + 8;
-  }
+  // Drain: every tracked op resolves within its deadline plus the
+  // final attempt's timeout.
+  const std::size_t drain_cap =
+      (kDeadlineTimeouts + 1) * spec.timeout_rounds + 8;
   std::size_t drain = 0;
   const auto any_inflight = [&] {
     for (const IssuerBase* issuer : issuers) {

@@ -9,6 +9,9 @@
 // the request (the Section II search semantics: the search dies at
 // the first red group), so the client times out; a red RESPONSIBLE
 // group serves garbage, which the harness flags as a corrupted reply.
+// Every op, in either mode, runs through one request lifecycle (see
+// RetryPolicy); a client that never retries is one allowed a single
+// attempt.
 //
 // Two generation modes, both driven entirely by the run seed:
 //   * OPEN LOOP — a deterministic arrival schedule (fixed-rate via an
@@ -43,33 +46,26 @@ enum class Mode {
 
 [[nodiscard]] std::string_view to_string(Mode mode) noexcept;
 
-/// The self-healing request lifecycle (off by default — the legacy
-/// issue-once/time-out path, kept selectable and equivalence-tested
-/// like the runtime's storage toggles).  When enabled, every op gets:
-/// per-op deadline -> exponential-backoff retries through an
-/// ALTERNATE entry group -> optional hedged second attempt after a
-/// p99-derived delay.  The op id stays stable across attempts, so the
-/// op ledger is idempotent: the first reply settles the op, every
-/// later (duplicate, hedged, post-timeout) reply is counted stale and
-/// dropped without touching the histogram.
+/// How many attempts the request lifecycle gives each op.  Every op
+/// runs through one ledger: the op id stays stable across attempts,
+/// the first reply settles the op, and every later (duplicate, hedged,
+/// post-timeout) reply is counted stale and dropped without touching
+/// the histogram.  Disabled (the default), an op gets one attempt and
+/// no hedge: it times out after `Spec::timeout_rounds`.  Enabled, an
+/// op gets a deadline of 4 x Spec::timeout_rounds, retries with
+/// exponential backoff (2 << (k - 1) rounds before attempt k + 1)
+/// through an alternate entry group — the best of 4 candidates at
+/// avoiding hop groups its earlier timeouts implicated — and an
+/// optional hedged second attempt after a p99-derived delay.
 struct RetryPolicy {
   bool enabled = false;
-  /// Total send attempts per op, the first included.
+  /// Total send attempts per op, the first included (when enabled).
   std::size_t max_attempts = 4;
-  /// Backoff before attempt k+1 = base << (k - 1) rounds.
-  std::size_t backoff_base_rounds = 2;
-  /// Client-observed deadline per op; 0 = 4 x Spec::timeout_rounds.
-  std::size_t deadline_rounds = 0;
   /// Launch a hedged second attempt if no reply after hedge_delay.
   bool hedge = false;
   /// 0 = derive per issue from the issuer's own p99 (bootstrap: half
   /// the timeout until 8 latencies are recorded).
   std::size_t hedge_delay_rounds = 0;
-  /// Failover routing: re-attempts avoid hop groups implicated by
-  /// this op's earlier timeouts, scored over `failover_candidates`
-  /// alternate entry groups via one route_many batch.
-  bool avoid_implicated = true;
-  std::size_t failover_candidates = 4;
 };
 
 /// A scripted change of adversary posture at a round boundary (the
@@ -88,6 +84,8 @@ struct Spec {
   /// Rounds of traffic generation; the run then drains in-flight ops
   /// (every op resolves: reply or timeout).
   std::size_t rounds = 256;
+  /// Rounds an attempt waits for its reply; must be >= 1 (run()
+  /// throws std::invalid_argument on 0).
   std::size_t timeout_rounds = 48;
 
   // Open loop.
@@ -109,21 +107,14 @@ struct Spec {
   /// Bogus background requests per round that consume service and
   /// network capacity but are never recorded (the flood attack).
   double background_rate = 0.0;
-  /// DEPRECATED aliases: message hazards now live in `faults` (the
-  /// single source of truth).  Non-zero values here are compiled by
-  /// run() into an equivalent always-on HazardRule appended to
-  /// `faults` (drop_prob as-is; max_delay_rounds M as delay_prob
-  /// M/(M+1) with uniform magnitude 1..M, the legacy uniform-[0,M]
-  /// distribution).  Prefer setting `faults` directly.
-  double drop_prob = 0.0;
-  std::size_t max_delay_rounds = 0;
 
-  /// The deterministic fault plane for this run (empty = pristine
-  /// delivery; the injector seam is then never attached and traffic
-  /// is byte-identical to a fault-free build).  A zero plan seed is
-  /// replaced with a run-seed derivation.
+  /// The deterministic fault plane for this run and the only source
+  /// of message hazards (empty = pristine delivery; the injector seam
+  /// is then never attached and traffic is byte-identical to a
+  /// fault-free build).  A zero plan seed is replaced with a run-seed
+  /// derivation.
   fault::FaultPlan faults;
-  /// The self-healing lifecycle (see RetryPolicy).
+  /// The request lifecycle's attempt policy (see RetryPolicy).
   RetryPolicy retry;
   /// Scripted adversary posture changes (see AttackPhase).
   std::vector<AttackPhase> phases;

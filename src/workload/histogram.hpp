@@ -38,9 +38,9 @@ struct Recorder {
   /// group-to-group edge) — the paper's accounting, for comparing
   /// against the analytic benches.
   std::uint64_t analytic_messages = 0;
-  /// Self-healing lifecycle counters (zero on the legacy no-retry
-  /// path, except stale_replies which also counts late/duplicate
-  /// replies the legacy ledger discards).
+  /// Request lifecycle counters (retries and hedges stay zero when
+  /// the retry policy is off; stale_replies counts late and duplicate
+  /// replies under either policy).
   std::uint64_t retries = 0;       ///< backoff re-attempts issued
   std::uint64_t hedges = 0;        ///< hedged second attempts issued
   std::uint64_t stale_replies = 0; ///< replies to already-settled ops
@@ -71,7 +71,7 @@ struct Recorder {
                       : 0.0;
   }
   /// Attempts per op: (first attempts + retries + hedges) / ops.
-  /// 1.0 exactly on the no-retry path.
+  /// 1.0 exactly when the retry policy is off.
   [[nodiscard]] double retry_amplification() const noexcept {
     return issued ? static_cast<double>(issued + retries + hedges) /
                         static_cast<double>(issued)

@@ -28,7 +28,10 @@ using scenario::WorkloadAxis;
 // so a cell's traffic read-out faces the same adversary strength.
 constexpr double kEclipsedFraction = 0.25;
 constexpr double kFloodBackgroundMultiplier = 2.0;
-constexpr std::size_t kLateReleaseDelayRounds = 2;
+/// late_release stragglers: each message is held back with
+/// probability 2/3 by 1..2 rounds (uniformly), i.e. a uniform extra
+/// delay of 0..2 rounds.
+constexpr std::uint32_t kLateReleaseDelayRounds = 2;
 constexpr std::uint64_t kPuzzleAttemptsPerEpoch = 1 << 14;
 constexpr double kPuzzleExpectedAttempts = 2048.0;
 
@@ -194,6 +197,9 @@ RunResult run_one(const ScenarioSpec& spec, bool with_adversary, Rng& rng) {
   const auto service =
       make_service(spec.workload.service, world, key_space, service_salt);
   Spec engine = engine_spec(spec, with_adversary);
+  // engine_spec's own hazard rule stays the plan's last, after any
+  // adaptive or preset rules: hazard draws are keyed by rule index.
+  const fault::FaultPlan own = std::exchange(engine.faults, {});
   if (with_adversary && spec.adversary == AdversaryKind::adaptive) {
     // Observe, plan, lower: message-level actions into the fault
     // plane, traffic-level postures into attack phases.  All draws
@@ -220,6 +226,7 @@ RunResult run_one(const ScenarioSpec& spec, bool with_adversary, Rng& rng) {
                             engine.rounds, rng());
     if (preset.has_value()) merge_plan(engine.faults, *preset);
   }
+  merge_plan(engine.faults, own);
   return run(*service, engine, rng(), /*threads=*/1);
 }
 
@@ -272,9 +279,13 @@ Spec engine_spec(const ScenarioSpec& spec, bool with_adversary) {
       out.background_rate =
           std::max(2.0, axis.rate * kFloodBackgroundMultiplier);
       break;
-    case AdversaryKind::late_release:
-      out.max_delay_rounds = kLateReleaseDelayRounds;
+    case AdversaryKind::late_release: {
+      fault::HazardRule late;
+      late.delay_prob = 2.0 / 3.0;
+      late.max_delay_rounds = kLateReleaseDelayRounds;
+      out.faults.rules.push_back(late);
       break;
+    }
     default:
       break;  // placement adversaries act through the world instead
   }

@@ -46,7 +46,8 @@ namespace tg::workload {
     std::size_t key_space, std::uint64_t salt);
 
 /// Engine spec for a cell: the workload axis plus the adversary's
-/// traffic-level knobs (eclipse steering, flood background, delay).
+/// traffic-level knobs (eclipse steering, flood background) and, for
+/// late_release, its delay rule as the spec's only fault rule.
 [[nodiscard]] Spec engine_spec(const scenario::ScenarioSpec& spec,
                                bool with_adversary);
 

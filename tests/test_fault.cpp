@@ -1,14 +1,15 @@
 // The deterministic fault plane: PlanInjector purity and keyed-draw
 // determinism, each fault behavior observed through a small network
 // (drop windows, duplication, reordering, crash and partition
-// windows), the off-path byte-identity contract, the legacy hazard
-// alias promotion, preset resolution, and the adaptive adversary's
-// plan compilation.
+// windows), the off-path byte-identity contract, preset resolution,
+// the late_release rule's place after a preset, and the adaptive
+// adversary's plan compilation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "adversary/adaptive.hpp"
@@ -17,6 +18,7 @@
 #include "scenario/scenario.hpp"
 #include "workload/engine.hpp"
 #include "workload/service.hpp"
+#include "workload/traffic.hpp"
 
 namespace {
 
@@ -303,7 +305,7 @@ TEST(FaultSeam, InjectBypassesTheFaultPlane) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine integration: alias promotion and faulted thread invariance
+// Engine integration: faulted thread invariance and rule order
 // ---------------------------------------------------------------------------
 
 workload::World blue_world() {
@@ -313,42 +315,6 @@ workload::World blue_world() {
     g.bad = 1;
   }
   return workload::World::from_regions(std::move(regions));
-}
-
-TEST(FaultEngine, LegacyHazardAliasesPromoteToEquivalentRule) {
-  // Spec hazards (drop_prob / max_delay_rounds) are deprecated thin
-  // aliases: run() must compile them into the FaultPlan rule with the
-  // documented distribution, byte-for-byte equal to building the rule
-  // by hand.
-  const auto run_with = [](bool via_alias) {
-    const workload::World world = blue_world();
-    workload::KvService service(world, 64, /*salt=*/3);
-    workload::Spec spec;
-    spec.mode = workload::Mode::open_loop;
-    spec.rate = 2.0;
-    spec.rounds = 64;
-    spec.timeout_rounds = 12;
-    if (via_alias) {
-      spec.drop_prob = 0.2;
-      spec.max_delay_rounds = 2;
-    } else {
-      HazardRule rule;
-      rule.drop_prob = 0.2;
-      rule.delay_prob = 2.0 / 3.0;
-      rule.max_delay_rounds = 2;
-      spec.faults.rules.push_back(rule);  // seed 0: run() derives it
-    }
-    return workload::run(service, spec, 17, 1);
-  };
-  const auto alias = run_with(true);
-  const auto manual = run_with(false);
-  EXPECT_EQ(alias.trace_hash, manual.trace_hash);
-  EXPECT_EQ(alias.recorder.completed, manual.recorder.completed);
-  EXPECT_EQ(alias.recorder.timed_out, manual.recorder.timed_out);
-  EXPECT_EQ(alias.net.fault_dropped, manual.net.fault_dropped);
-  EXPECT_EQ(alias.net.fault_delayed, manual.net.fault_delayed);
-  EXPECT_GT(alias.net.fault_dropped, 0u);
-  EXPECT_GT(alias.net.fault_delayed, 0u);
 }
 
 TEST(FaultEngine, ChaosWithRetriesBitIdenticalAcrossThreadCounts) {
@@ -381,6 +347,46 @@ TEST(FaultEngine, ChaosWithRetriesBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(one.recorder.issued, 0u);
   // Replayability: the same seed reproduces the faulted run exactly.
   EXPECT_EQ(run_once(1).trace_hash, one.trace_hash);
+}
+
+TEST(FaultEngine, LateReleaseUnderChaosPresetMatchesGolden) {
+  // The late_release adversary's delay rule comes after the chaos
+  // preset's rules in the run's plan.  Hazard draws are keyed by rule
+  // index, so any other order changes the trace.
+  scenario::ScenarioSpec spec;
+  spec.adversary = scenario::AdversaryKind::late_release;
+  spec.topology = scenario::Topology::tinygroups;
+  spec.n = 256;
+  spec.beta = 0.08;
+  spec.trials = 2;
+  spec.seed = 4242;
+  spec.churn = {1, 64};
+  spec.workload.service = scenario::WorkloadAxis::Service::kv;
+  spec.workload.rate = 2.0;
+  spec.workload.rounds = 64;
+  spec.workload.timeout_rounds = 16;
+  spec.workload.faults_preset = "chaos";
+  struct Golden {
+    std::uint64_t trace, issued, completed, failed, timed_out, retries;
+  };
+  for (const bool retries : {false, true}) {
+    spec.workload.retries = retries;
+    const Golden want =
+        retries ? Golden{0x228e4b9a4d376115ULL, 256, 241, 7, 8, 186}
+                : Golden{0xf48356e138802e0eULL, 256, 134, 1, 121, 0};
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      const auto cell = workload::run_traffic_cell(spec, true, threads);
+      const workload::Recorder& r = cell.recorder;
+      SCOPED_TRACE("retries " + std::to_string(retries) + " threads " +
+                   std::to_string(threads));
+      EXPECT_EQ(cell.trace_hash, want.trace);
+      EXPECT_EQ(r.issued, want.issued);
+      EXPECT_EQ(r.completed, want.completed);
+      EXPECT_EQ(r.failed, want.failed);
+      EXPECT_EQ(r.timed_out, want.timed_out);
+      EXPECT_EQ(r.retries, want.retries);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

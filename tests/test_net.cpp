@@ -1,127 +1,23 @@
-// Tests for the message-passing runtime: mailbox concurrency, the
+// Tests for the message-passing runtime: payload words, the
 // deterministic parallel executor, delivery policy, and the Fig. 1
 // relay chain.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "net/mailbox.hpp"
 #include "net/network.hpp"
 #include "net/relay.hpp"
 
 namespace tg::net {
 namespace {
 
-// ---------- Mailbox ----------
+// ---------- Words ----------
 
-TEST(Mailbox, FifoOrder) {
-  Mailbox mb;
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    EXPECT_TRUE(mb.push(Message{0, 0, i, {}, 0}));
-  }
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    const auto m = mb.try_pop();
-    ASSERT_TRUE(m.has_value());
-    EXPECT_EQ(m->tag, i);
-  }
-  EXPECT_FALSE(mb.try_pop().has_value());
-}
-
-TEST(Mailbox, DrainTakesEverythingAtOnce) {
-  Mailbox mb;
-  for (std::uint64_t i = 0; i < 5; ++i) mb.push(Message{0, 0, i, {}, 0});
-  const auto all = mb.drain();
-  EXPECT_EQ(all.size(), 5u);
-  EXPECT_EQ(mb.size(), 0u);
-}
-
-TEST(Mailbox, CloseDropsSubsequentPushes) {
-  Mailbox mb;
-  EXPECT_TRUE(mb.push(Message{}));
-  mb.close();
-  EXPECT_TRUE(mb.closed());
-  EXPECT_FALSE(mb.push(Message{}));
-  EXPECT_EQ(mb.size(), 1u);  // pre-close message retained
-}
-
-TEST(Mailbox, PopWaitReturnsNulloptWhenClosedEmpty) {
-  Mailbox mb;
-  std::optional<Message> got = Message{};
-  std::thread consumer([&] { got = mb.pop_wait(); });
-  mb.close();
-  consumer.join();
-  EXPECT_FALSE(got.has_value());
-}
-
-TEST(Mailbox, ConcurrentProducersLoseNothing) {
-  Mailbox mb;
-  constexpr std::size_t kProducers = 8, kEach = 2000;
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&mb, p] {
-      for (std::size_t i = 0; i < kEach; ++i) {
-        mb.push(Message{static_cast<NodeId>(p), 0, i, {}, 0});
-      }
-    });
-  }
-  std::atomic<std::size_t> consumed{0};
-  std::thread consumer([&] {
-    // Spin-drain while producers run, then a final drain.
-    for (int spin = 0; spin < 1000; ++spin) {
-      consumed += mb.drain().size();
-    }
-  });
-  for (auto& t : producers) t.join();
-  consumer.join();
-  consumed += mb.drain().size();
-  EXPECT_EQ(consumed.load(), kProducers * kEach);
-}
-
-TEST(Mailbox, PerSenderOrderSurvivesConcurrency) {
-  Mailbox mb;
-  constexpr std::size_t kProducers = 4, kEach = 1000;
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&mb, p] {
-      for (std::size_t i = 0; i < kEach; ++i) {
-        mb.push(Message{static_cast<NodeId>(p), 0, i, {}, 0});
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  std::vector<std::uint64_t> last_seen(kProducers, 0);
-  std::vector<bool> seen_any(kProducers, false);
-  while (const auto m = mb.try_pop()) {
-    if (seen_any[m->src]) {
-      EXPECT_GT(m->tag, last_seen[m->src]) << "sender " << m->src;
-    }
-    last_seen[m->src] = m->tag;
-    seen_any[m->src] = true;
-  }
-}
-
-TEST(Mailbox, DrainOfEmptyMailboxIsEmpty) {
-  Mailbox mb;
-  EXPECT_TRUE(mb.drain().empty());
-  // drain_into must clear stale caller content even with nothing queued.
-  std::vector<Message> out(3, Message{1, 2, 3, {4}, 5});
-  mb.drain_into(out);
-  EXPECT_TRUE(out.empty());
-  EXPECT_EQ(mb.size(), 0u);
-  // And an empty drain after a full consume cycle behaves the same.
-  mb.push(Message{0, 0, 7, {}, 0});
-  (void)mb.drain();
-  EXPECT_TRUE(mb.drain().empty());
-}
-
-TEST(Mailbox, MessageEqualityRoundTripsThroughWordsAtSboBoundary) {
+TEST(Words, MessageEqualityIsByContentAcrossSboBoundary) {
   // Payload sizes straddling Words::kInlineCapacity: the wire format
-  // must compare and round-trip identically whether the words sit
-  // inline or in spilled storage.
+  // must compare and copy identically whether the words sit inline or
+  // in spilled storage.
   for (const std::size_t words :
        {Words::kInlineCapacity - 1, Words::kInlineCapacity,
         Words::kInlineCapacity + 1, 4 * Words::kInlineCapacity}) {
@@ -134,9 +30,10 @@ TEST(Mailbox, MessageEqualityRoundTripsThroughWordsAtSboBoundary) {
     }
     EXPECT_EQ(original.payload.spilled(), words > Words::kInlineCapacity);
 
-    Mailbox mb;
-    ASSERT_TRUE(mb.push(original));  // copies
-    const auto drained = mb.drain();
+    std::vector<Message> inbox;
+    inbox.push_back(original);  // copies
+    std::vector<Message> drained;
+    drained.swap(inbox);
     ASSERT_EQ(drained.size(), 1u);
     EXPECT_EQ(drained.front(), original) << words << " words";
 
@@ -153,8 +50,6 @@ TEST(Mailbox, MessageEqualityRoundTripsThroughWordsAtSboBoundary) {
     EXPECT_FALSE(rebuilt == original);
   }
 }
-
-// ---------- Words ----------
 
 TEST(Words, GrowthAcrossInlineBoundaryPreservesContents) {
   Words w;

@@ -261,39 +261,6 @@ TEST(RouteOutboxBatching, RecycledRoundLoopMatchesGoldenAtAnyWidth) {
   }
 }
 
-TEST(RouteOutboxBatching, MailboxDrainIntoMatchesDrain) {
-  net::Mailbox a;
-  net::Mailbox b;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    net::Message m;
-    m.src = static_cast<net::NodeId>(i);
-    m.dst = 0;
-    m.tag = i;
-    m.payload = {i, i * i};
-    ASSERT_TRUE(a.push(m));
-    ASSERT_TRUE(b.push(std::move(m)));
-  }
-  const auto via_drain = a.drain();
-  std::vector<net::Message> via_drain_into(7);  // stale content is cleared
-  b.drain_into(via_drain_into);
-  EXPECT_EQ(via_drain, via_drain_into);
-  EXPECT_EQ(b.size(), 0u);
-
-  // A partially consumed mailbox still drains the correct suffix.
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    net::Message m;
-    m.tag = 100 + i;
-    ASSERT_TRUE(b.push(std::move(m)));
-  }
-  const auto popped = b.try_pop();
-  ASSERT_TRUE(popped.has_value());
-  EXPECT_EQ(popped->tag, 100u);
-  b.drain_into(via_drain_into);
-  ASSERT_EQ(via_drain_into.size(), 2u);
-  EXPECT_EQ(via_drain_into[0].tag, 101u);
-  EXPECT_EQ(via_drain_into[1].tag, 102u);
-}
-
 TEST(RouteOutboxBatching, ChatterRoundLoopMatchesGoldenInlineAndSpilled) {
   // The chatter trace is a pure function of the traffic shape.  Goldens
   // for an inline (4-word) and a spilled (16-word) payload, produced

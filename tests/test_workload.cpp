@@ -7,12 +7,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dispatch_seams.hpp"
 #include "fault/fault_plan.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/scenario.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workload/engine.hpp"
 #include "workload/histogram.hpp"
 #include "workload/service.hpp"
@@ -194,6 +199,42 @@ struct RunSnapshot {
   friend bool operator==(const RunSnapshot&, const RunSnapshot&) = default;
 };
 
+/// A RunSnapshot plus the counters the request lifecycle and the
+/// drain loop own.  Prints as the initializer that would pin it.
+struct LifecycleSnapshot {
+  RunSnapshot run;
+  std::uint64_t stale_replies = 0, retries = 0, hedges = 0;
+  std::uint64_t rounds_run = 0, delivered = 0;
+
+  static LifecycleSnapshot of(const workload::RunResult& res) {
+    const Recorder& r = res.recorder;
+    return {RunSnapshot::of(r, res.trace_hash), r.stale_replies, r.retries,
+            r.hedges, res.rounds_run, res.net.delivered};
+  }
+
+  friend bool operator==(const LifecycleSnapshot&,
+                         const LifecycleSnapshot&) = default;
+  friend std::ostream& operator<<(std::ostream& os,
+                                  const LifecycleSnapshot& s) {
+    const RunSnapshot& r = s.run;
+    return os << std::hex << "{{0x" << r.trace << "ULL, " << std::dec
+              << r.issued << ", " << r.completed << ", " << r.failed << ", "
+              << r.timed_out << ", " << r.p50 << ", " << r.p90 << ", "
+              << r.p99 << ", " << r.p999 << "}, " << s.stale_replies << ", "
+              << s.retries << ", " << s.hedges << ", " << s.rounds_run
+              << ", " << s.delivered << "}";
+  }
+};
+
+std::uint64_t fnv_string(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 RunSnapshot run_engine(const scenario::ScenarioSpec& spec, std::uint64_t seed,
                        std::size_t threads) {
   Rng rng(seed);
@@ -257,6 +298,52 @@ TEST(WorkloadEngine, RunSnapshotMatchesGoldenAtAnyWidthAndKernel) {
   }
   crypto::seams::DispatchGuard guard;
   crypto::seams::for_each_dispatch([&](int combo) { check(1, combo); });
+}
+
+TEST(WorkloadEngine, ClosedLoopNoRetryMatchesGoldenAtAnyWidth) {
+  // Closed-loop clients allowed one attempt each, under a delay hazard
+  // that makes some replies outlive their op.  Pinned while fire-once
+  // clients still had a code path of their own; the lifecycle with a
+  // single attempt must reproduce it.
+  const auto spec = small_traffic_spec(scenario::WorkloadAxis::Service::kv,
+                                       scenario::WorkloadAxis::Loop::closed);
+  const LifecycleSnapshot want{
+      {0xbbac4dc8a72fb528ULL, 16, 11, 0, 5, 16, 24, 24, 24}, 2, 0, 0, 83, 96};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    Rng rng(spec.seed);
+    const World world = workload::world_for_trial(spec, false, rng);
+    const auto service =
+        workload::make_service(spec.workload.service, world, 128, rng());
+    workload::Spec engine = workload::engine_spec(spec, false);
+    fault::HazardRule delays;
+    delays.delay_prob = 0.25;
+    delays.max_delay_rounds = 16;
+    engine.faults.seed = 5;
+    engine.faults.rules.push_back(delays);
+    EXPECT_EQ(LifecycleSnapshot::of(
+                  workload::run(*service, engine, rng(), threads)),
+              want)
+        << "threads " << threads;
+  }
+}
+
+TEST(WorkloadEngine, ZeroTimeoutIsRejected) {
+  // A zero timeout would schedule an op's first wake for the round
+  // that is already being processed, so the op would never resolve.
+  const auto spec = small_traffic_spec(scenario::WorkloadAxis::Service::kv,
+                                       scenario::WorkloadAxis::Loop::open);
+  Rng rng(spec.seed);
+  const World world = workload::world_for_trial(spec, false, rng);
+  for (const bool retry : {false, true}) {
+    const auto service =
+        workload::make_service(spec.workload.service, world, 128, rng());
+    workload::Spec engine = workload::engine_spec(spec, false);
+    engine.timeout_rounds = 0;
+    engine.retry.enabled = retry;
+    EXPECT_THROW((void)workload::run(*service, engine, 1, 1),
+                 std::invalid_argument)
+        << "retry=" << retry;
+  }
 }
 
 TEST(WorkloadEngine, AdversaryCellTrafficBitIdenticalAcrossShardCounts) {
@@ -365,9 +452,9 @@ TEST(WorkloadService, LookupRegistersOnlyOnBlueOwners) {
 }
 
 // ---------------------------------------------------------------------------
-// Self-healing lifecycle regressions: late and duplicate replies must
-// not corrupt the op ledger or double-count the histogram, on BOTH the
-// legacy fire-once path and the retry lifecycle.
+// Request lifecycle regressions: late and duplicate replies must not
+// corrupt the op ledger or double-count the histogram, with retries
+// off (one attempt per op) and on.
 // ---------------------------------------------------------------------------
 
 TEST(WorkloadLifecycle, ReplyAfterTimeoutIsStaleNotDoubleCounted) {
@@ -482,6 +569,98 @@ TEST(WorkloadLifecycle, HedgedAttemptsFireAndStayDeterministic) {
   EXPECT_EQ(one.recorder.hedges, four.recorder.hedges);
   EXPECT_EQ(one.recorder.completed, four.recorder.completed);
   EXPECT_EQ(one.recorder.finished(), one.recorder.issued);
+}
+
+TEST(WorkloadLifecycle, NoRetryStaleHeavyRunsMatchGoldenAtAnyWidth) {
+  // The all-delay and all-duplicate rules above with retries off:
+  // pinned while fire-once issuers kept their own ledger, so the
+  // one-attempt lifecycle must classify every late and duplicate
+  // reply exactly as that ledger did.
+  const auto run_with = [](const fault::HazardRule& rule,
+                           std::size_t timeout, std::size_t threads) {
+    const World world = synthetic_world(/*red_groups=*/0);
+    KvService service(world, 64, /*salt=*/3);
+    workload::Spec spec;
+    spec.mode = workload::Mode::open_loop;
+    spec.rate = 2.0;
+    spec.rounds = 64;
+    spec.timeout_rounds = timeout;
+    spec.faults.seed = 99;
+    spec.faults.rules.push_back(rule);
+    return LifecycleSnapshot::of(workload::run(service, spec, 13, threads));
+  };
+  fault::HazardRule delay_all;
+  delay_all.delay_prob = 1.0;
+  delay_all.max_delay_rounds = 12;
+  fault::HazardRule dup_all;
+  dup_all.duplicate_prob = 1.0;
+  const LifecycleSnapshot want_delay{
+      {0x1c3f0974a7698d0bULL, 128, 1, 0, 127, 4, 4, 4, 4}, 74, 0, 0, 68, 477};
+  const LifecycleSnapshot want_dup{
+      {0x68a1a5f5c41de867ULL, 128, 128, 0, 0, 5, 7, 7, 7}, 6980, 0, 0, 69,
+      13960};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    EXPECT_EQ(run_with(delay_all, 4, threads), want_delay)
+        << "threads " << threads;
+    EXPECT_EQ(run_with(dup_all, 16, threads), want_dup)
+        << "threads " << threads;
+  }
+}
+
+TEST(WorkloadLifecycle, HedgedRetryRunMatchesGoldenAtAnyWidth) {
+  const auto run_once = [](std::size_t threads) {
+    const World world = synthetic_world(/*red_groups=*/2);
+    KvService service(world, 64, /*salt=*/3);
+    workload::Spec spec;
+    spec.mode = workload::Mode::closed_loop;
+    spec.clients = 6;
+    spec.rounds = 96;
+    spec.timeout_rounds = 16;
+    spec.retry.enabled = true;
+    spec.retry.hedge = true;
+    fault::HazardRule drops;
+    drops.drop_prob = 0.3;
+    spec.faults.seed = 7;
+    spec.faults.rules.push_back(drops);
+    return LifecycleSnapshot::of(workload::run(service, spec, 33, threads));
+  };
+  const LifecycleSnapshot want{
+      {0x8ad4a7f4b74b4382ULL, 16, 6, 0, 10, 62, 62, 62, 62}, 0, 26, 16, 158,
+      74};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    EXPECT_EQ(run_once(threads), want) << "threads " << threads;
+  }
+}
+
+TEST(WorkloadLifecycle, TelemetryExportsMatchGoldenWithAndWithoutRetries) {
+  // Hashes of the stable metrics export and the Chrome trace of one
+  // traced run per policy.  Timeouts through red groups make the retry
+  // run route each timed-out attempt again to implicate its hops, and
+  // those routes are telemetry samples too.
+  const auto traced = [](bool retry) {
+    const World world = synthetic_world(/*red_groups=*/2);
+    KvService service(world, 64, /*salt=*/3);
+    workload::Spec spec;
+    spec.mode = workload::Mode::open_loop;
+    spec.rate = 2.0;
+    spec.rounds = 48;
+    spec.timeout_rounds = 8;
+    spec.retry.enabled = retry;
+    fault::HazardRule drops;
+    drops.drop_prob = 0.2;
+    spec.faults.seed = 7;
+    spec.faults.rules.push_back(drops);
+    telemetry::Session session;
+    const telemetry::ThreadBind bind(&session);
+    (void)workload::run(service, spec, 41, 1);
+    return std::pair{fnv_string(session.metrics_json()),
+                     fnv_string(session.chrome_trace_json())};
+  };
+  using Hashes = std::pair<std::uint64_t, std::uint64_t>;
+  EXPECT_EQ(traced(false),
+            (Hashes{0xd5e6866a3eca7da6ULL, 0x2aa24467a55d44adULL}));
+  EXPECT_EQ(traced(true),
+            (Hashes{0x58636498125276d6ULL, 0x36bbc3cf2a550422ULL}));
 }
 
 // ---------------------------------------------------------------------------
