@@ -31,7 +31,8 @@
 //      (one inactive telemetry::active() check), multiplied by a
 //      conservative guards-per-round bound for the measured chatter
 //      traffic, must stay within a few percent of the off-path round
-//      time.  Both timings are medians of 5 alternating samples.
+//      time.  The gate is the median of 5 per-sample ratios, each
+//      pairing a guard timing with the round timing taken right after.
 //      This bounds the "telemetry compiled in but disabled" tax
 //      without needing a guard-free binary to diff against.
 //
@@ -209,34 +210,37 @@ void append_overhead(bench::JsonReporter& out, const BenchConfig& config) {
 
   // The off-path guard is timed in isolation: a noinline loop of the
   // exact inactive-session check every instrumentation site performs.
-  // The gate divides the guard time by the round time, so one noisy
-  // sample of either moves it: both are the median of
-  // kOverheadSamples measurements, taken alternately.
+  // The gate divides the guard time by the round time.  Each guard
+  // sample is paired with the round sample taken right after it, so
+  // both see the same box load, and the gate is the median of the
+  // kOverheadSamples per-pair ratios.
   constexpr std::uint64_t kProbeIters = 1u << 24;
   constexpr std::size_t kOverheadSamples = 5;
+  const double messages_per_round =
+      static_cast<double>(on.delivered) /
+      static_cast<double>(config.loop_rounds);
+  const double guards_per_round = kGuardsPerMessage * messages_per_round + 1.0;
   (void)telemetry::detail::off_path_guard_probe(kProbeIters / 16);  // warm
-  Quantiles guard_samples, round_samples;
+  Quantiles guard_samples, round_samples, fraction_samples;
   scenario::RoundLoopResult off;
   for (std::size_t i = 0; i < kOverheadSamples; ++i) {
     const Stopwatch sw;
     (void)telemetry::detail::off_path_guard_probe(kProbeIters);
-    guard_samples.add(sw.seconds() * 1e9 / static_cast<double>(kProbeIters));
+    const double guard_sample_ns =
+        sw.seconds() * 1e9 / static_cast<double>(kProbeIters);
     off = scenario::run_chatter_round_loop(loop);
+    guard_samples.add(guard_sample_ns);
     round_samples.add(off.ns_per_round);
+    fraction_samples.add(guard_sample_ns * guards_per_round /
+                         off.ns_per_round);
   }
   const double guard_ns = guard_samples.median();
   const double off_ns = round_samples.median();
+  const double projected_fraction = fraction_samples.median();
   if (off.trace_hash != on.trace_hash || off.delivered != on.delivered) {
     throw std::logic_error(
         "telemetry: recording changed the chatter round loop's traffic");
   }
-
-  const double messages_per_round =
-      static_cast<double>(off.delivered) /
-      static_cast<double>(config.loop_rounds);
-  const double guards_per_round = kGuardsPerMessage * messages_per_round + 1.0;
-  const double projected_ns = guard_ns * guards_per_round;
-  const double projected_fraction = projected_ns / off_ns;
 
   out.add_ns_per_op("telemetry_offpath_round_loop", off_ns,
                     {{"nodes", static_cast<double>(config.loop_nodes)},

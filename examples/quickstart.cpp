@@ -80,15 +80,7 @@ int main() {
   const double dual_fail =
       core::measure_dual_failure(*graphs.g1, *graphs.g2, 20000, rng);
   std::cout << "[search] dual-search failure rate: " << dual_fail
-            << " (single was " << rob.q_f << ")\n\n";
-
-  // --- 5. A group simulates a reliable processor (Section I).
-  const auto& grp = graphs.g1->group(0);
-  const auto job = bft::execute_job(grp, graphs.g1->member_pool(), 777);
-  std::cout << "[job] group 0 (" << grp.size() << " members, "
-            << grp.bad_members << " bad) computed job: "
-            << (job.correct ? "CORRECT" : "CORRUPTED") << " using "
-            << job.messages << " messages\n";
+            << " (single was " << rob.q_f << ")\n";
 
   std::cout << "\nDone. See bench/ for the paper's full experiment suite.\n";
   return 0;

@@ -11,8 +11,10 @@
 //     majority-filtered), and
 //   * the locating dual search succeeds, and
 //   * the receiving group is good (it will actually store it).
-// The E-series retention measurements use this module; the kv_store
-// example is its interactive counterpart.
+// The Storage.* tests (test_extensions) measure retention through this
+// module.  The served store is a different one: the kv_store example
+// and perfbench's kv_chaos drive workload::KvService on the message
+// runtime.
 #pragma once
 
 #include <cstdint>

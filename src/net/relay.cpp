@@ -1,49 +1,35 @@
 #include "net/relay.hpp"
 
 #include <algorithm>
-#include <map>
+
+#include "bft/majority_filter.hpp"
 
 namespace tg::net {
 namespace {
 
 constexpr std::uint64_t kRelayTagBase = 0x5e1a;
 
-/// Plurality vote; ties go to the smaller value (deterministic).
-std::uint64_t plurality(const std::vector<std::uint64_t>& copies) {
-  std::map<std::uint64_t, std::size_t> counts;
-  for (const auto c : copies) ++counts[c];
-  std::uint64_t best = copies.front();
-  std::size_t best_count = 0;
-  for (const auto& [value, count] : counts) {
-    if (count > best_count) {
-      best = value;
-      best_count = count;
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
 RelayMember::RelayMember(std::size_t group, std::size_t group_size,
                          std::size_t chain_length, std::size_t patience,
                          std::optional<std::uint64_t> initial,
-                         std::size_t verify_spin, std::size_t payload_words)
+                         std::size_t payload_words)
     : group_(group),
       group_size_(group_size),
       chain_length_(chain_length),
       patience_(patience),
-      verify_spin_(verify_spin),
       payload_words_(payload_words == 0 ? 1 : payload_words),
       decoded_(initial) {}
 
 void RelayMember::on_message(const Message& m, Context& ctx) {
   (void)ctx;
   if (m.tag != kRelayTagBase + group_ || m.payload.empty()) return;
-  // Synthetic per-copy verification (a signature check in deployment).
-  std::uint64_t sink = m.payload.front();
-  for (std::size_t spin = 0; spin < verify_spin_; ++spin) sink = mix64(sink);
-  if (sink == 0x5EED5EED5EED5EEDULL) return;  // keep the work observable
+  // One copy per sender: a duplicate cannot add support.
+  if (std::find(senders_.begin(), senders_.end(), m.src) != senders_.end()) {
+    return;
+  }
+  senders_.push_back(m.src);
   copies_.push_back(m.payload.front());
   if (!collecting_) {
     collecting_ = true;
@@ -85,7 +71,11 @@ void RelayMember::on_round_end(Context& ctx) {
     ++rounds_waited_;
     return;
   }
-  if (!copies_.empty()) decoded_ = plurality(copies_);
+  // Fail closed: decode only a value more than |G|/2 distinct senders
+  // carried.  Lost honest copies then starve the hop rather than hand
+  // the bad minority's common forgery a plurality.
+  const auto vote = bft::majority_vote(copies_);
+  if (2 * vote.support > group_size_) decoded_ = vote.value;
   forward(ctx);
 }
 
@@ -110,7 +100,7 @@ RelayRun run_relay_chain(const RelayConfig& config) {
           config.max_delay_rounds,
           g == 0 ? std::optional<std::uint64_t>(config.payload)
                  : std::nullopt,
-          config.verify_spin, config.payload_words);
+          config.payload_words);
       members.push_back(node.get());
       net.add_node(std::move(node));
     }

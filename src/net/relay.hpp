@@ -5,13 +5,17 @@
 // Node id layout: member j of chain group g is node g*group_size + j.
 // Group 0's members hold the payload initially; each member of group g
 // forwards its majority-decoded value to every member of group g+1.
+// A member decodes only a value that more than |G|/2 distinct senders
+// carried (bft::majority_vote); short of that it stays undecoded and
+// forwards nothing, so loss starves a hop but never forges it.
 // Byzantine members are modeled by the network's delivery policy
 // (their outgoing payloads are corrupted in flight — equivalently,
 // they collude on a common forged value).
 //
-// The analytic counterpart is routing::transmit(all_to_all); tests
-// check the two agree, which is what licenses using the cheap analytic
-// model in the large-n experiments.
+// The analytic counterpart is the |G_a|*|G_b| per-hop message count
+// and the 2*bad < |G| delivery rule (docs/DEVIATIONS.md#analytic-messages);
+// tests check the two agree, which is what licenses using the cheap
+// analytic model in the large-n experiments.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +31,6 @@ class RelayMember final : public Node {
   /// `patience`: rounds to keep collecting after the first copy
   /// arrives before decoding and forwarding — must be >= the network's
   /// max_delay_rounds or stragglers are decoded without.
-  /// `verify_spin`: synthetic per-copy verification work (mix64
-  /// iterations), modeling the signature check a deployment performs
-  /// on every received copy; drives the executor-scaling bench.
   /// `payload_words`: words per forwarded copy — word 0 is the relayed
   /// value, the rest a synthetic certificate (the signature + proof
   /// chain a deployment attaches); above Words::kInlineCapacity the
@@ -37,7 +38,7 @@ class RelayMember final : public Node {
   RelayMember(std::size_t group, std::size_t group_size,
               std::size_t chain_length, std::size_t patience = 0,
               std::optional<std::uint64_t> initial = std::nullopt,
-              std::size_t verify_spin = 0, std::size_t payload_words = 1);
+              std::size_t payload_words = 1);
 
   void on_message(const Message& m, Context& ctx) override;
   void on_round_end(Context& ctx) override;
@@ -54,9 +55,9 @@ class RelayMember final : public Node {
   std::size_t group_size_;
   std::size_t chain_length_;
   std::size_t patience_;
-  std::size_t verify_spin_;
   std::size_t payload_words_;
   std::optional<std::uint64_t> decoded_;
+  std::vector<NodeId> senders_;
   std::vector<std::uint64_t> copies_;
   std::size_t rounds_waited_ = 0;
   bool collecting_ = false;
@@ -81,8 +82,6 @@ struct RelayConfig {
   std::size_t threads = 1;
   double drop_prob = 0.0;
   std::size_t max_delay_rounds = 0;
-  /// Per-received-copy verification work (mix64 spins); 0 = free.
-  std::size_t verify_spin = 0;
   /// Words per relayed copy (>= 1): value + synthetic certificate.
   std::size_t payload_words = 1;
   std::uint64_t payload = 0xFEEDFACE;

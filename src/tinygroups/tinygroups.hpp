@@ -12,12 +12,11 @@
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
-// Cryptographic substrate (random oracles, PoW proofs, signatures)
+// Cryptographic substrate (random oracles, PoW proofs)
 #include "crypto/commitment.hpp"
 #include "crypto/hex.hpp"
 #include "crypto/oracle.hpp"
 #include "crypto/sha256.hpp"
-#include "crypto/signature.hpp"
 
 // ID space [0,1)
 #include "idspace/interval.hpp"
@@ -61,19 +60,8 @@
 #include "workload/service.hpp"
 #include "workload/traffic.hpp"
 
-// In-group Byzantine fault tolerance
-#include "bft/coded_storage.hpp"
-#include "bft/dkg.hpp"
-#include "bft/dolev_strong.hpp"
-#include "bft/field.hpp"
-#include "bft/group_processor.hpp"
-#include "bft/group_rng.hpp"
+// Majority filtering of all-to-all transfers (Section I)
 #include "bft/majority_filter.hpp"
-#include "bft/phase_king.hpp"
-#include "bft/randomized_ba.hpp"
-#include "bft/reliable_broadcast.hpp"
-#include "bft/secret_sharing.hpp"
-#include "bft/shamir.hpp"
 
 // The paper's contribution: tiny group graphs
 #include "core/bootstrap.hpp"
@@ -91,12 +79,8 @@
 #include "core/self_heal.hpp"
 #include "core/storage.hpp"
 
-// Secure-routing transport modes (footnote 3)
-#include "routing/transport.hpp"
-
 // Message-passing runtime (actors, delivery policy, Fig. 1 relay)
 #include "net/message.hpp"
-#include "net/min_gossip.hpp"
 #include "net/network.hpp"
 #include "net/node.hpp"
 #include "net/relay.hpp"

@@ -1,26 +1,14 @@
-// Tests for the in-group BFT substrates: majority filtering, Bracha
-// reliable broadcast, Dolev-Strong, Phase King, group-as-processor.
+// Tests for majority filtering of all-to-all transfers (Section I),
+// the in-group primitive every inter-group hop relies on.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "bft/dolev_strong.hpp"
-#include "bft/group_processor.hpp"
 #include "bft/majority_filter.hpp"
-#include "bft/phase_king.hpp"
-#include "bft/reliable_broadcast.hpp"
-#include "core/population.hpp"
 #include "util/rng.hpp"
 
 namespace tg::bft {
 namespace {
-
-std::vector<std::uint8_t> corruption(std::size_t n,
-                                     std::initializer_list<std::size_t> bad) {
-  std::vector<std::uint8_t> v(n, 0);
-  for (const auto b : bad) v[b] = 1;
-  return v;
-}
 
 // --- Majority filtering ---
 
@@ -74,160 +62,6 @@ TEST(TransferSplitVotes, SplittingNeverHelpsAdversary) {
     const auto r = transfer_with_split_votes(99, 6, 5, 4, rng);
     EXPECT_EQ(r.value, 99u);
   }
-}
-
-// --- Bracha reliable broadcast ---
-
-TEST(Bracha, GoodSenderNoFaults) {
-  Rng rng(2);
-  const auto r = reliable_broadcast(7, corruption(7, {}), 0, 42, rng);
-  EXPECT_TRUE(r.agreement);
-  EXPECT_TRUE(r.validity);
-  for (std::size_t i = 0; i < 7; ++i) {
-    ASSERT_TRUE(r.delivered[i].has_value());
-    EXPECT_EQ(*r.delivered[i], 42u);
-  }
-}
-
-TEST(Bracha, GoodSenderToleratesMinorityBelowThird) {
-  Rng rng(3);
-  // n = 10, t = 3 (exactly the t < n/3 frontier).
-  const auto r =
-      reliable_broadcast(10, corruption(10, {3, 5, 7}), 0, 42, rng);
-  EXPECT_TRUE(r.agreement);
-  EXPECT_TRUE(r.validity);
-}
-
-TEST(Bracha, BadSenderCannotSplitGoodMembers) {
-  Rng rng(4);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto r = reliable_broadcast(10, corruption(10, {0, 4, 8}), 0,
-                                      1000 + trial, rng);
-    EXPECT_TRUE(r.agreement);  // all-or-nothing among good members
-  }
-}
-
-TEST(Bracha, MessageComplexityQuadratic) {
-  Rng rng(5);
-  const std::size_t n = 9;
-  const auto r = reliable_broadcast(n, corruption(n, {}), 0, 1, rng);
-  // SEND n + ECHO n^2 + READY n^2.
-  EXPECT_GE(r.messages, n * n);
-  EXPECT_LE(r.messages, n + 2 * n * n);
-}
-
-// --- Dolev-Strong ---
-
-TEST(DolevStrong, HonestSenderNoFaults) {
-  const crypto::SignatureAuthority auth(7);
-  const auto r = dolev_strong(5, corruption(5, {}), 0, 99, auth);
-  EXPECT_TRUE(r.agreement);
-  EXPECT_TRUE(r.validity);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(r.outputs[i], 99u);
-}
-
-TEST(DolevStrong, ToleratesNearMajorityCorruption) {
-  const crypto::SignatureAuthority auth(8);
-  // 7 members, 3 bad (t < n/2 as the paper's groups guarantee); good
-  // sender.
-  const auto r = dolev_strong(7, corruption(7, {2, 4, 6}), 0, 55, auth);
-  EXPECT_TRUE(r.agreement);
-  EXPECT_TRUE(r.validity);
-}
-
-TEST(DolevStrong, EquivocatingSenderStillAgrees) {
-  const crypto::SignatureAuthority auth(9);
-  for (std::size_t extra_bad : {1u, 2u, 3u}) {
-    std::vector<std::uint8_t> bad(8, 0);
-    bad[0] = 1;  // the sender
-    for (std::size_t i = 1; i <= extra_bad; ++i) bad[i] = 1;
-    const auto r = dolev_strong(8, bad, 0, 123, auth);
-    EXPECT_TRUE(r.agreement) << "extra_bad=" << extra_bad;
-    EXPECT_TRUE(r.validity);  // vacuous for bad sender
-  }
-}
-
-TEST(DolevStrong, AgreementAcrossManyCompositions) {
-  const crypto::SignatureAuthority auth(10);
-  Rng rng(11);
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t n = 4 + rng.below(6);
-    std::vector<std::uint8_t> bad(n, 0);
-    const std::size_t t = rng.below(n);  // any t < n
-    for (const auto idx : rng.sample_indices(n, t)) bad[idx] = 1;
-    const auto r = dolev_strong(n, bad, rng.below(n), rng.u64(), auth);
-    EXPECT_TRUE(r.agreement) << "n=" << n << " t=" << t;
-  }
-}
-
-// --- Phase King ---
-
-TEST(PhaseKing, UnanimousInputPreserved) {
-  Rng rng(12);
-  const std::vector<std::uint64_t> inputs(7, 1);
-  const auto r = phase_king(inputs, corruption(7, {}), rng);
-  EXPECT_TRUE(r.agreement);
-  EXPECT_TRUE(r.validity);
-  for (const auto v : r.outputs) EXPECT_EQ(v, 1u);
-}
-
-TEST(PhaseKing, AgreementWithQuarterCorrupt) {
-  Rng rng(13);
-  // n = 10, t = 2 (n > 4t holds for the two-round variant).
-  std::vector<std::uint64_t> inputs = {0, 1, 0, 1, 0, 1, 0, 1, 0, 1};
-  const auto r = phase_king(inputs, corruption(10, {1, 5}), rng);
-  EXPECT_TRUE(r.agreement);
-}
-
-TEST(PhaseKing, ValidityUnderCorruptionSweep) {
-  Rng rng(14);
-  for (std::size_t t = 0; t <= 3; ++t) {
-    const std::size_t n = 4 * t + 3;  // comfortably n > 4t
-    std::vector<std::uint64_t> inputs(n, 1);  // unanimous good input
-    std::vector<std::uint8_t> bad(n, 0);
-    for (std::size_t i = 0; i < t; ++i) bad[i] = 1;
-    const auto r = phase_king(inputs, bad, rng);
-    EXPECT_TRUE(r.agreement) << "t=" << t;
-    EXPECT_TRUE(r.validity) << "t=" << t;
-  }
-}
-
-// --- Group processor ---
-
-TEST(GroupProcessor, CorrectWithGoodMajority) {
-  Rng rng(15);
-  auto pop = core::Population::uniform(100, 0.0, rng);
-  core::Group grp;
-  grp.leader = 0;
-  for (std::uint32_t m = 0; m < 9; ++m) grp.members.push_back(m);
-  const auto result = execute_job(grp, pop, 777);
-  EXPECT_TRUE(result.correct);
-  EXPECT_EQ(result.value, job_function(777));
-  EXPECT_EQ(result.messages, 9u * 8u);
-}
-
-TEST(GroupProcessor, CorruptedWithBadMajority) {
-  Rng rng(16);
-  // All IDs bad.
-  auto pop = core::Population::uniform(100, 1.0, rng);
-  core::Group grp;
-  grp.leader = 0;
-  for (std::uint32_t m = 0; m < 9; ++m) grp.members.push_back(m);
-  grp.bad_members = 9;
-  const auto result = execute_job(grp, pop, 777);
-  EXPECT_FALSE(result.correct);
-}
-
-TEST(GroupProcessor, EmptyGroupFails) {
-  Rng rng(17);
-  auto pop = core::Population::uniform(10, 0.0, rng);
-  core::Group grp;
-  EXPECT_FALSE(execute_job(grp, pop, 1).correct);
-}
-
-TEST(GroupProcessor, JobFunctionDeterministic) {
-  EXPECT_EQ(job_function(5), job_function(5));
-  EXPECT_NE(job_function(5), job_function(6));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for crypto: SHA-256 against FIPS 180-4 vectors, hex,
-// random oracles, commitments/ZK proof objects, simulated signatures.
+// random oracles, commitments/ZK proof objects.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include "crypto/oracle.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha256_simd.hpp"
-#include "crypto/signature.hpp"
 #include "dispatch_seams.hpp"
 
 namespace tg::crypto {
@@ -483,33 +482,6 @@ TEST(ZkProof, RejectsAboveThreshold) {
   stmt.tau = 1000;
   const auto proof = prove_pow_preimage(42, 9, 5000, 555, stmt);
   EXPECT_FALSE(proof.verify());
-}
-
-// --- Simulated signatures ---
-
-TEST(Signature, SignVerifyRoundTrip) {
-  const SignatureAuthority auth(31337);
-  const auto sig = auth.sign(/*caller=*/5, /*signer=*/5, /*message=*/900);
-  EXPECT_TRUE(auth.verify(sig, 900));
-}
-
-TEST(Signature, WrongMessageFails) {
-  const SignatureAuthority auth(31337);
-  const auto sig = auth.sign(5, 5, 900);
-  EXPECT_FALSE(auth.verify(sig, 901));
-}
-
-TEST(Signature, ForgeryFails) {
-  const SignatureAuthority auth(31337);
-  // Byzantine caller 6 tries to sign on behalf of 5.
-  const auto forged = auth.sign(6, 5, 900);
-  EXPECT_FALSE(auth.verify(forged, 900));
-}
-
-TEST(Signature, AuthoritiesAreIndependent) {
-  const SignatureAuthority a(1), b(2);
-  const auto sig = a.sign(5, 5, 900);
-  EXPECT_FALSE(b.verify(sig, 900));
 }
 
 }  // namespace

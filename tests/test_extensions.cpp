@@ -1,6 +1,6 @@
 // Tests for the extension modules: Viceroy overlay, iterative search,
-// quarantine (footnote 2), in-group RNG, replicated storage with epoch
-// handoff, and the latency model.
+// quarantine (footnote 2), replicated storage with epoch handoff, and
+// the latency model.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -170,60 +170,6 @@ TEST(Quarantine, BadMinorityCannotFrame) {
   if (grp.has_good_majority()) {
     EXPECT_FALSE(core::bad_minority_can_frame(grp, pop, 12345));
   }
-}
-
-// --- In-group RNG ---
-
-TEST(GroupRng, AllGoodIsUnbiasedAndAbortFree) {
-  Rng rng(10);
-  auto pop = core::Population::uniform(64, 0.0, rng);
-  core::Group grp;
-  grp.leader = 0;
-  for (std::uint32_t m = 0; m < 9; ++m) grp.members.push_back(m);
-  std::size_t ones = 0;
-  const std::size_t rounds = 4000;
-  for (std::size_t r = 0; r < rounds; ++r) {
-    const auto result = bft::group_random(grp, pop, true, rng);
-    EXPECT_EQ(result.aborts, 0u);
-    EXPECT_TRUE(result.commitments_valid);
-    ones += (result.value & 1ULL) != 0;
-  }
-  EXPECT_NEAR(static_cast<double>(ones) / rounds, 0.5, 0.03);
-}
-
-TEST(GroupRng, SelectiveAbortBiasesOneRound) {
-  // A mixed group: the abort lever gives the colluders a choice
-  // between two XOR outcomes, so the preferred bit wins with
-  // probability 3/4 (bias 1/4) on a single un-retried round.
-  Rng rng(11);
-  auto pop = core::Population::uniform(64, 0.5, rng);
-  core::Group grp;
-  grp.leader = 0;
-  std::size_t bad = 0, good = 0;
-  for (std::uint32_t m = 0; m < 64 && grp.members.size() < 9; ++m) {
-    if (pop.is_bad(m) && bad < 4) {
-      grp.members.push_back(m);
-      ++bad;
-    } else if (!pop.is_bad(m) && good < 5) {
-      grp.members.push_back(m);
-      ++good;
-    }
-  }
-  ASSERT_EQ(bad, 4u);
-  ASSERT_EQ(good, 5u);
-  grp.bad_members = bad;
-  const double bias = bft::measure_abort_bias(grp, pop, 6000, rng);
-  EXPECT_NEAR(bias, 0.25, 0.05);
-}
-
-TEST(GroupRng, MessageAccounting) {
-  Rng rng(12);
-  auto pop = core::Population::uniform(64, 0.0, rng);
-  core::Group grp;
-  grp.leader = 0;
-  for (std::uint32_t m = 0; m < 7; ++m) grp.members.push_back(m);
-  const auto result = bft::group_random(grp, pop, false, rng);
-  EXPECT_EQ(result.messages, 2u * 7u * 6u);  // two all-to-all rounds
 }
 
 // --- Replicated storage ---

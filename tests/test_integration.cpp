@@ -4,7 +4,6 @@
 //    system of Theorem 3 exercised end to end),
 //  * storage/retrieval through groups (the paper's name-service
 //    motivation),
-//  * the open-compute-platform flow (groups as reliable processors),
 //  * gossip-backed ID credential lifecycle across an epoch boundary.
 #include <gtest/gtest.h>
 
@@ -82,31 +81,6 @@ TEST(Integration, KeyValueStoreOverGroups) {
   }
   // epsilon-robustness: all but a vanishing fraction retrievable.
   EXPECT_GT(retrieved, 490u);
-}
-
-TEST(Integration, ComputePlatformJobCorrectness) {
-  // Run one job per group; the fraction of corrupted jobs must match
-  // the majority-bad group fraction (the paper's o(1) error rate).
-  const std::uint64_t seed = 25;
-  core::Params params;
-  params.n = 2048;
-  params.beta = 0.1;
-  params.seed = seed;
-  core::EpochBuilder builder(params);
-  Rng rng(seed);
-  const core::EpochGraphs graphs = builder.initial(rng);
-
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < graphs.g1->size(); ++i) {
-    const auto result =
-        bft::execute_job(graphs.g1->group(i), graphs.g1->member_pool(),
-                         rng.u64());
-    correct += result.correct;
-  }
-  const double correct_frac =
-      static_cast<double>(correct) / static_cast<double>(graphs.g1->size());
-  EXPECT_GT(correct_frac, 0.99);
-  EXPECT_NEAR(1.0 - correct_frac, graphs.g1->majority_bad_fraction(), 0.01);
 }
 
 TEST(Integration, EpochTurnoverPreservesRetrievability) {

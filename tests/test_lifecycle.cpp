@@ -1,9 +1,6 @@
 // Tests for system lifecycle pieces: Appendix X initialization, the
-// Theta(n) size-variation support, targeted-join analysis, and the
-// secret-sharing MPC substrate.
+// Theta(n) size-variation support and targeted-join analysis.
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "tinygroups/tinygroups.hpp"
 
@@ -145,67 +142,6 @@ TEST(TargetedJoin, ChosenIdsCaptureInstantly) {
   const auto rep = adversary::targeted_join_chosen(p, rng);
   EXPECT_TRUE(rep.victim_captured);
   EXPECT_GE(rep.landed_in_target, p.group_size() / 2);
-}
-
-// --- Secret sharing ---
-
-TEST(SecretSharing, HonestSumIsExact) {
-  Rng rng(81);
-  auto pop = core::Population::uniform(64, 0.0, rng);
-  core::Group grp;
-  grp.leader = 0;
-  for (std::uint32_t m = 0; m < 9; ++m) grp.members.push_back(m);
-  std::vector<std::uint64_t> inputs;
-  std::uint64_t expected = 0;
-  for (int i = 0; i < 9; ++i) {
-    inputs.push_back(rng.u64());
-    expected += inputs.back();
-  }
-  const auto result = bft::secret_sum(grp, pop, inputs, rng);
-  EXPECT_TRUE(result.correct);
-  EXPECT_EQ(result.sum, expected);
-  EXPECT_FALSE(result.tamper_detected);
-  EXPECT_GT(result.messages, 0u);
-}
-
-TEST(SecretSharing, TamperingIsDetectedAndCorrected) {
-  Rng rng(82);
-  auto pop = core::Population::uniform(64, 0.4, rng);
-  core::Group grp;
-  grp.leader = 0;
-  std::size_t bad = 0;
-  for (std::uint32_t m = 0; m < 9; ++m) {
-    grp.members.push_back(m);
-    bad += pop.is_bad(m);
-  }
-  if (bad == 0) GTEST_SKIP() << "no bad members drawn";
-  std::vector<std::uint64_t> inputs(9, 1000);
-  const auto result = bft::secret_sum(grp, pop, inputs, rng);
-  EXPECT_TRUE(result.tamper_detected);
-  EXPECT_TRUE(result.correct);  // commitments force the fall-back value
-}
-
-TEST(SecretSharing, CoalitionLearnsNothing) {
-  Rng rng(83);
-  auto pop = core::Population::uniform(64, 0.0, rng);
-  core::Group grp;
-  grp.leader = 0;
-  for (std::uint32_t m = 0; m < 7; ++m) grp.members.push_back(m);
-  const std::vector<std::uint64_t> inputs = {42, 1, 2, 3, 4, 5, 6};
-  const double ks = bft::coalition_view_ks(grp, inputs, 4000, rng);
-  // The coalition's best reconstruction of member 0's input is masked
-  // by a uniform share: indistinguishable from uniform.
-  EXPECT_LT(ks, ks_critical_value(4000, 0.01));
-}
-
-TEST(SecretSharing, RejectsArityMismatch) {
-  Rng rng(84);
-  auto pop = core::Population::uniform(8, 0.0, rng);
-  core::Group grp;
-  grp.leader = 0;
-  grp.members = {0, 1, 2};
-  const auto result = bft::secret_sum(grp, pop, {1, 2}, rng);
-  EXPECT_FALSE(result.correct);
 }
 
 }  // namespace

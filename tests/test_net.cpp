@@ -3,11 +3,13 @@
 // relay chain.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "net/network.hpp"
 #include "net/relay.hpp"
+#include "proptest_gtest.hpp"
 
 namespace tg::net {
 namespace {
@@ -449,19 +451,45 @@ TEST(RelayChain, SurvivesBoundedDelay) {
   EXPECT_FALSE(run.corrupted);
 }
 
-TEST(RelayChain, HeavyDropStarvesButNeverForges) {
-  RelayConfig cfg;
-  cfg.chain_length = 8;
-  cfg.group_size = 7;
-  cfg.bad_per_group = 2;
-  cfg.drop_prob = 0.6;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    cfg.seed = seed;
-    const auto run = run_relay_chain(cfg);
-    // With 60% loss the payload may starve, but a forgery majority
-    // among good members must never form.
-    EXPECT_FALSE(run.corrupted) << "seed " << seed;
-  }
+TEST(RelayChain, LossStarvesButNeverForges) {
+  // Fail closed: a member decodes only a value carried by more than
+  // |G|/2 distinct senders, so lost honest copies can starve the chain
+  // but never hand the bad minority's common forgery the decode.
+  struct Case {
+    std::size_t group_size = 5, bad = 0, delay = 0;
+    std::uint64_t drop_pct = 0, seed = 0;
+  };
+  proptest::Gen<Case> gen{[](proptest::Source& src) {
+    Case c;
+    c.group_size = 5 + src.below(11);            // 5..15
+    c.bad = src.below((c.group_size + 1) / 2);   // 2 * bad < |G|
+    c.drop_pct = src.below(81);                  // 0..80%
+    c.delay = src.below(3);                      // 0..2 rounds
+    c.seed = src.draw();
+    return c;
+  }};
+  proptest::Options opt;
+  opt.iters = 500;
+  proptest::expect_property<Case>(
+      "net.relay-loss-never-forges", gen,
+      [](const Case& c) {
+        RelayConfig cfg;
+        cfg.chain_length = 8;
+        cfg.group_size = c.group_size;
+        cfg.bad_per_group = c.bad;
+        cfg.drop_prob = static_cast<double>(c.drop_pct) / 100.0;
+        cfg.max_delay_rounds = c.delay;
+        cfg.seed = c.seed;
+        return !run_relay_chain(cfg).corrupted;
+      },
+      opt,
+      [](const Case& c) {
+        std::ostringstream out;
+        out << "|G|=" << c.group_size << " bad=" << c.bad
+            << " drop=" << c.drop_pct << "% delay<=" << c.delay
+            << " seed=0x" << std::hex << c.seed;
+        return out.str();
+      });
 }
 
 TEST(RelayChain, WidePayloadCopiesRelayAndFilterIdentically) {

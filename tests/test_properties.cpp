@@ -505,43 +505,6 @@ TEST(ChurnProperties, DeeperDeparturesNeverRemoveFewerGoodIds) {
       });
 }
 
-// ---------- Dolev-Strong over generated (n, t, corruption, sender) ----------
-
-TEST(BftProperties, DolevStrongAgreementAndValidity) {
-  struct Case {
-    std::size_t n = 4, t = 0;
-    std::uint64_t bad_salt = 0, value = 0;
-    std::size_t sender = 0;
-  };
-  Gen<Case> gen{[](Source& src) {
-    Case c;
-    c.n = 4 + src.below(8);          // 4..11
-    c.t = src.below(c.n);            // < n
-    c.bad_salt = src.draw();
-    c.value = src.draw();
-    c.sender = src.below(c.n);
-    return c;
-  }};
-  expect_property<Case>(
-      "bft.dolev-strong-agreement-and-validity", gen,
-      [](const Case& c) {
-        const crypto::SignatureAuthority auth(31);
-        Rng rng(c.bad_salt);
-        std::vector<std::uint8_t> bad(c.n, 0);
-        for (const auto idx : rng.sample_indices(c.n, c.t)) bad[idx] = 1;
-        const auto r = bft::dolev_strong(c.n, bad, c.sender, c.value, auth);
-        if (!r.agreement) return false;
-        return bad[c.sender] != 0 || r.validity;
-      },
-      iters(10),
-      [](const Case& c) {
-        std::ostringstream out;
-        out << "n=" << c.n << " t=" << c.t << " sender=" << c.sender
-            << " salt/value " << show_u64s({c.bad_salt, c.value});
-        return out.str();
-      });
-}
-
 // ---------- PoW: verification scoping + batch/sequential equivalence ----------
 
 TEST(PowProperties, SolutionsVerifyOnlyUnderTheirEpochString) {
